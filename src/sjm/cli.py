@@ -2,71 +2,49 @@
 
 Commands emit JSON (default) or CSV on stdout, write to a file with
 --output, and send diagnostics to stderr.  Exit codes: 0 all checks pass,
-1 a verification failed, 2 invalid input.  Identical invocations
-(including --seed) produce byte-identical output.  All floats are emitted
-with 15 significant digits.
+1 a verification failed, 2 invalid input or an unwritable --output.
+Identical invocations (including --seed) produce byte-identical output.
+All floats are emitted with 15 significant digits.
+
+Each command validates its input and returns a `Table` whose rows are
+built lazily; `write_json` or `write_csv` streams it, so no command holds
+its whole output in memory.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import (
-    aligned_tetrahedron_residual,
-    concurrence,
-    concurrence_curve,
-    reduction_vector,
-    rotation_symmetry_residual,
-    sjm_concurrence_closed_form,
-    sjm_reduction_closed_form,
-    zero_sum_residual,
-)
-from .bases import (
-    SjmParams,
-    component_state,
-    ejm_aligned,
-    original_ejm_basis,
-    sjm_basis,
-    sjm_overlap_closed_form,
-    sjm_state_closed_form,
-)
+from .analysis import concurrence_curve, invariant_residuals
+from .bases import SjmParams, sjm_basis
 from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
-from .linalg import inner
 from .multiqubit import (
-    aux_state,
-    gram_residual,
-    multi_reduction_closed_form,
-    multi_reduction_vector,
-    multi_sjm_basis,
-    pairwise_overlap_product,
+    gram_residual, multi_invariant_residuals, multi_reduction_vector, multi_sjm_basis,
 )
-from .network import (
-    TRILOCAL_BOUND,
-    closed_form_probability,
-    joint_distribution,
-    nonlocality_scan,
-)
+from .network import TRILOCAL_BOUND, closed_form_probability, joint_distribution, nonlocality_scan
 
 DEFAULT_THETA = math.pi / 2
 DEFAULT_PHI = math.pi / 4
+# Largest --grid-steps: about 10 s of `network scan` on one core.
+GRID_STEPS_CAP = 65536
+# Rows per json.dumps call: amortizes the per-call cost over many small
+# rows, while a chunk of the widest rows (basis, n = 12) stays tens of MB.
+_CHUNK_ROWS = 64
 
 
 def _fmt(x: float) -> float:
-    """Round a float to 15 significant digits for JSON emission."""
+    """Round a float to 15 significant digits for emission."""
     return float(f"{x:.15g}")
-
-
-def _fmt_s(x: float) -> str:
-    return f"{x:.15g}"
 
 
 @dataclass(frozen=True)
@@ -94,34 +72,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add_command(name: str, help_text: str, angles=True, n=False, seed=False, grid=False):
+        """A subcommand that accepts only the flags it reads."""
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--theta", type=float, help="theta in radians, [0, pi/2]")
-        p.add_argument(
-            "--theta-frac",
-            metavar="FRAC",
-            help="theta as a rational multiple of pi, e.g. 1/2 for pi/2",
-        )
-        p.add_argument("--phi", type=float, help="phi in radians, [-pi, pi]")
-        p.add_argument(
-            "--phi-frac", metavar="FRAC", help="phi as a rational multiple of pi"
-        )
-        p.add_argument("--n", type=int, default=2, help="number of qubits (even)")
-        p.add_argument(
-            "--grid-steps", type=int, default=64, help="grid resolution for sweeps"
-        )
+        # Parser-level defaults: they win over add_argument's None, and they
+        # also give a value to every flag this command does not take.
+        p.set_defaults(theta=None, theta_frac=None, phi=None, phi_frac=None,
+                       n=2, grid_steps=64, seed=None, mode=None)
+        if angles:
+            p.add_argument("--theta", type=float, help="theta in radians, [0, pi/2]")
+            p.add_argument("--theta-frac", metavar="FRAC",
+                           help="theta as a rational multiple of pi, e.g. 1/2 for pi/2")
+            p.add_argument("--phi", type=float, help="phi in radians, [-pi, pi]")
+            p.add_argument("--phi-frac", metavar="FRAC", help="phi as a rational multiple of pi")
+        if n:
+            p.add_argument("--n", type=int, help="number of qubits (even, default 2)")
+        if grid:
+            p.add_argument("--grid-steps", type=int,
+                           help=f"sweep resolution (default 64, at most {GRID_STEPS_CAP})")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", metavar="PATH", help="write output to a file")
-        p.add_argument("--seed", type=int, help="seed for sampled checks")
+        if seed:
+            p.add_argument("--seed", type=int, help="seed for sampled checks")
         return p
 
-    add_command("basis", "emit the basis amplitude table")
-    add_command("verify", "run every invariant check and report residuals")
+    add_command("basis", "emit the basis amplitude table", n=True)
+    add_command("verify", "run every invariant check and report residuals", n=True, seed=True)
     add_command("circuit", "emit the discrimination circuit and its state mapping")
-    network = add_command("network", "triangle-network outcome statistics")
+    network = add_command("network", "triangle-network outcome statistics", grid=True)
     network.add_argument("mode", choices=["table", "scan"])
-    add_command("curve", "emit concurrence-versus-theta data for the state families")
-    add_command("multiqubit", "emit multiqubit Gram check and reduction vectors")
+    add_command("curve", "emit concurrence-versus-theta data for the state families",
+                angles=False, grid=True)
+    add_command("multiqubit", "emit multiqubit Gram check and reduction vectors", n=True, seed=True)
     return parser
 
 
@@ -141,390 +123,207 @@ def _angle(value: float | None, frac: str | None, flag: str, default: float) -> 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     theta = _angle(args.theta, args.theta_frac, "theta", DEFAULT_THETA)
     phi = _angle(args.phi, args.phi_frac, "phi", DEFAULT_PHI)
-    if args.grid_steps < 1:
-        raise ValueError(f"grid-steps must be >= 1, got {args.grid_steps}")
-    cfg = RunConfig(
-        command=args.command,
-        theta=theta,
-        phi=phi,
-        n=args.n,
-        grid_steps=args.grid_steps,
-        output_format=args.format,
-        output_path=args.output,
-        seed=args.seed,
-        mode=getattr(args, "mode", None),
-    )
+    if not 1 <= args.grid_steps <= GRID_STEPS_CAP:
+        raise ValueError(f"grid-steps must be in [1, {GRID_STEPS_CAP}], got {args.grid_steps}")
+    cfg = RunConfig(command=args.command, theta=theta, phi=phi, n=args.n,
+                    grid_steps=args.grid_steps, output_format=args.format,
+                    output_path=args.output, seed=args.seed, mode=args.mode)
     cfg.params  # validate ranges before any computation
     return cfg
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+@dataclass(frozen=True)
+class Table:
+    """What a command emits: fixed fields around one lazily built row list.
+
+    JSON: the `head` fields (never empty: they start with `command`), then
+    `key` holding the rows, then `tail`.
+    CSV: `header` (default: `columns`), then per row the cells of each of
+    `columns`, looked up in the row, else in `head`.
+    """
+
+    head: dict
+    key: str
+    rows: Iterable[dict]
+    columns: Sequence[str]
+    header: Sequence[str] | None = None
+    tail: dict = field(default_factory=dict)
+    code: int = 0
 
 
-def _amplitude_rows(states, indices) -> list[dict]:
-    return [
-        {
-            "index": list(ks),
-            "amplitudes": [[_fmt(a.real), _fmt(a.imag)] for a in state],
-        }
-        for ks, state in zip(indices, states)
-    ]
+def write_json(table: Table, out: TextIO) -> None:
+    """Write the bytes of json.dumps(doc, indent=2) + "\\n" for
+    doc = {**head, key: list(rows), **tail}, one chunk of rows at a time."""
+
+    def members(fields: dict) -> str:
+        return json.dumps(fields, indent=2)[2:-2]  # '{\n  "a": 1\n}' -> '  "a": 1'
+
+    out.write(f"{{\n{members(table.head)},\n  {json.dumps(table.key)}: [")
+    separator, rows = "\n", iter(table.rows)
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        # Rows sit one level deeper in the document than in the chunk's list.
+        body = json.dumps(chunk, indent=2)[2:-2].replace("\n", "\n  ")
+        out.write(f"{separator}  {body}")
+        separator = ",\n"
+    out.write("]" if separator == "\n" else "\n  ]")
+    if table.tail:
+        out.write(",\n" + members(table.tail))
+    out.write("\n}\n")
 
 
-def cmd_basis(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.n == 2:
-        states = sjm_basis(cfg.params).states
-        indices = [(k,) for k in range(4)]
-    else:
-        basis = multi_sjm_basis(cfg.n, cfg.params)
-        states = basis.states
-        indices = basis.index_tuples()
-    if cfg.output_format == "json":
-        doc = {
-            "command": "basis",
-            "n": cfg.n,
-            "theta": _fmt(cfg.theta),
-            "phi": _fmt(cfg.phi),
-            "states": _amplitude_rows(states, indices),
-        }
-        return 0, json.dumps(doc, indent=2) + "\n"
-    header = ["index"] + [
-        name for i in range(len(states[0])) for name in (f"amp{i}_re", f"amp{i}_im")
-    ]
-    rows = [
-        ["".join(map(str, ks))]
-        + [part for a in state for part in (_fmt_s(a.real), _fmt_s(a.imag))]
-        for ks, state in zip(indices, states)
-    ]
-    return 0, _csv_text(header, rows)
+def _cells(value) -> list[str]:
+    """CSV cells of one JSON value: lowercase booleans, 15-digit floats, a
+    flat list (an index tuple) as its digits run together, and a list of
+    lists (amplitude pairs) as one cell per number."""
+    if isinstance(value, bool):
+        return ["true" if value else "false"]
+    if isinstance(value, float):
+        return [f"{value:.15g}"]
+    if isinstance(value, list):
+        if value and isinstance(value[0], list):
+            return [f"{x:.15g}" for pair in value for x in pair]
+        return ["".join(map(str, value))]
+    return [str(value)]
 
 
-def _two_qubit_invariants(params: SjmParams) -> list[tuple[str, float, float]]:
-    basis = sjm_basis(params)
-    gram = basis.gram()
-    construction = max(
-        float(np.abs(basis.states[k] - sjm_state_closed_form(k, params)).max())
-        for k in range(4)
+def write_csv(table: Table, out: TextIO) -> None:
+    """Write the header line, then one line per row."""
+    head, columns = table.head, table.columns
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(table.header or columns)
+    writer.writerows(
+        [cell for c in columns for cell in _cells(row[c] if c in row else head[c])]
+        for row in table.rows
     )
-    overlap_cf = max(
-        abs(gram[j, k] - sjm_overlap_closed_form(j, k, params))
-        for j in range(4)
-        for k in range(4)
-    )
-    component_overlap = max(
-        abs(
-            inner(component_state(k, 0, params), component_state(k, 1, params))
-            - 1.0 / math.sqrt(2.0)
-        )
-        for k in range(4)
-    )
-    conc = max(
-        abs(concurrence(s) - sjm_concurrence_closed_form(params.theta))
-        for s in basis.states
-    )
-    reduction = max(
-        float(
-            np.abs(
-                reduction_vector(s, q) - sjm_reduction_closed_form(k, params, q)
-            ).max()
-        )
-        for k, s in enumerate(basis.states)
-        for q in (0, 1)
-    )
-    aligned = ejm_aligned()
-    ejm = original_ejm_basis()
-    aligned_states = sjm_basis(aligned).states
-    ejm_relation = max(
-        abs(inner(ejm.states[j], aligned_states[(j + 1) % 4])) for j in range(4)
-    )
-    return [
-        ("orthonormality_residual", basis.orthonormality_residual(), 1e-10),
-        ("completeness_residual", basis.completeness_residual(), 1e-10),
-        ("construction_closed_form_residual", construction, 1e-12),
-        ("overlap_closed_form_residual", float(overlap_cf), 1e-12),
-        ("component_overlap_residual", float(component_overlap), 1e-12),
-        ("concurrence_residual", float(conc), 1e-10),
-        ("reduction_closed_form_residual", reduction, 1e-10),
-        ("rotational_symmetry_residual", rotation_symmetry_residual(basis), 1e-10),
-        ("zero_sum_residual", zero_sum_residual(basis), 1e-10),
-        ("aligned_ejm_orthogonality_residual", float(ejm_relation), 1e-10),
-        ("aligned_tetrahedron_residual", aligned_tetrahedron_residual(), 1e-10),
-    ]
 
 
-def _multiqubit_invariants(
-    cfg: RunConfig,
-) -> tuple[list[tuple[str, float, float]], int | None]:
-    params = cfg.params
-    two = sjm_basis(params)
-    multi_two = multi_sjm_basis(2, params)
-    match = max(
-        float(np.abs(a - b).max()) for a, b in zip(two.states, multi_two.states)
-    )
-    aux_orth = max(
-        abs(inner(aux_state(which, +1, params.phi), aux_state(which, -1, params.phi)))
-        for which in (0, 1)
-    )
-    overlap_product = max(
-        abs(pairwise_overlap_product(j, k, params) - (1.0 if j == k else 0.0))
-        for j in range(4)
-        for k in range(4)
-    )
-    basis = multi_sjm_basis(cfg.n, params) if cfg.n != 2 else multi_two
-    seed_used: int | None = None
-    if basis.n >= 8:
-        seed_used = cfg.seed if cfg.seed is not None else 0
-        check = gram_residual(basis, rng=np.random.default_rng(seed_used))
-    else:
-        check = gram_residual(basis)
-    reduction = 0.0
-    for ks in basis.index_tuples():
-        for position in range(basis.n):
-            numeric = multi_reduction_vector(basis, ks, position)
-            closed = multi_reduction_closed_form(
-                ks[position // 2], params, basis.n, position
-            )
-            reduction = max(reduction, float(np.abs(numeric - closed).max()))
-    rows = [
-        ("multi_two_qubit_match_residual", match, 1e-12),
-        ("aux_orthogonality_residual", float(aux_orth), 1e-12),
-        ("overlap_product_residual", float(overlap_product), 1e-12),
-        ("multi_gram_residual", check.residual, 1e-10),
-        ("multi_reduction_residual", reduction, 1e-10),
-    ]
-    return rows, seed_used
+def _point(cfg: RunConfig) -> dict:
+    return {"theta": _fmt(cfg.theta), "phi": _fmt(cfg.phi)}
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
-    rows = _two_qubit_invariants(cfg.params)
-    multi_rows, seed_used = _multiqubit_invariants(cfg)
-    rows += multi_rows
-    report = [
-        {
-            "name": name,
-            "residual": _fmt(residual),
-            "tolerance": tolerance,
-            "pass": residual <= tolerance,
-        }
-        for name, residual, tolerance in rows
-    ]
+def _gram_seed(cfg: RunConfig) -> tuple[int | None, np.random.Generator | None]:
+    """Seed (default 0) and generator of the sampled Gram check; None below n = 8."""
+    seed = None if cfg.n < 8 else cfg.seed or 0
+    return seed, None if seed is None else np.random.default_rng(seed)
+
+
+def cmd_basis(cfg: RunConfig) -> Table:
+    basis = sjm_basis(cfg.params) if cfg.n == 2 else multi_sjm_basis(cfg.n, cfg.params)
+    states = basis.states
+    indices = [(k,) for k in range(4)] if cfg.n == 2 else basis.index_tuples()
+
+    def amplitudes(state: np.ndarray) -> list[list[float]]:
+        # _fmt of every part, but by one %-operation: 1.4x faster per state.
+        text = "%.15g " * (2 * len(state)) % tuple(state.view(float).tolist())
+        parts = iter(map(float, text.split()))
+        return [[re, im] for re, im in zip(parts, parts)]
+
+    rows = ({"index": list(ks), "amplitudes": amplitudes(s)} for ks, s in zip(indices, states))
+    return Table(
+        head={"command": "basis", "n": cfg.n, **_point(cfg)}, key="states", rows=rows,
+        columns=("index", "amplitudes"),
+        header=["index"] + [f"amp{i}_{p}" for i in range(len(states[0])) for p in ("re", "im")],
+    )
+
+
+def cmd_verify(cfg: RunConfig) -> Table:
+    seed, rng = _gram_seed(cfg)
+    residuals = invariant_residuals(cfg.params) + multi_invariant_residuals(cfg.n, cfg.params, rng)
+    report = [{"name": name, "residual": _fmt(r), "tolerance": tol, "pass": r <= tol}
+              for name, r, tol in residuals]
     all_pass = all(entry["pass"] for entry in report)
-    if cfg.output_format == "json":
-        doc = {
-            "command": "verify",
-            "theta": _fmt(cfg.theta),
-            "phi": _fmt(cfg.phi),
-            "n": cfg.n,
-            "seed": seed_used,
-            "invariants": report,
-            "all_pass": all_pass,
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = _csv_text(
-            ["name", "residual", "tolerance", "pass"],
-            [
-                [e["name"], _fmt_s(e["residual"]), _fmt_s(e["tolerance"]), str(e["pass"]).lower()]
-                for e in report
-            ],
-        )
-    return (0 if all_pass else 1), text
+    return Table(
+        head={"command": "verify", **_point(cfg), "n": cfg.n, "seed": seed},
+        key="invariants", rows=report, columns=("name", "residual", "tolerance", "pass"),
+        tail={"all_pass": all_pass}, code=0 if all_pass else 1,
+    )
 
 
-def cmd_circuit(cfg: RunConfig) -> tuple[int, str]:
+def cmd_circuit(cfg: RunConfig) -> Table:
     circuit = build_sjm_circuit(cfg.params)
     report = verify_discrimination(circuit, sjm_basis(cfg.params))
-    mappings = [
-        {
-            "state": m.state_index,
-            "target": m.target_index,
-            "target_bits": m.target_bits,
-            "magnitude": _fmt(m.magnitude),
-            "phase": _fmt(m.phase),
-        }
-        for m in report.mappings
-    ]
-    if cfg.output_format == "json":
-        doc = {
-            "command": "circuit",
-            "theta": _fmt(cfg.theta),
-            "phi": _fmt(cfg.phi),
-            "circuit": circuit_to_dict(circuit),
-            "mappings": mappings,
-            "targets_distinct": report.targets_distinct,
-            "max_magnitude_error": _fmt(report.max_magnitude_error),
-            "reference_sign_residual": _fmt(report.reference_sign_residual),
-            "pass": report.passed,
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = _csv_text(
-            ["state", "target", "target_bits", "magnitude", "phase"],
-            [
-                [str(m["state"]), str(m["target"]), m["target_bits"], _fmt_s(m["magnitude"]), _fmt_s(m["phase"])]
-                for m in mappings
-            ],
-        )
-    return (0 if report.passed else 1), text
-
-
-def cmd_network(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.mode == "table":
-        dist = joint_distribution(cfg.params)
-        residual = max(
-            abs(dist.prob(a, b, c) - closed_form_probability(a, b, c, cfg.theta))
-            for a in range(4)
-            for b in range(4)
-            for c in range(4)
-        )
-        ok = residual <= 1e-10
-        if cfg.output_format == "json":
-            doc = {
-                "command": "network-table",
-                "theta": _fmt(cfg.theta),
-                "phi": _fmt(cfg.phi),
-                "outcomes": [
-                    {"a": a, "b": b, "c": c, "probability": _fmt(dist.prob(a, b, c))}
-                    for a in range(4)
-                    for b in range(4)
-                    for c in range(4)
-                ],
-                "total": _fmt(dist.total()),
-                "closed_form_residual": _fmt(residual),
-                "pass": ok,
-            }
-            text = json.dumps(doc, indent=2) + "\n"
-        else:
-            text = _csv_text(
-                ["a", "b", "c", "probability"],
-                [
-                    [str(a), str(b), str(c), _fmt_s(dist.prob(a, b, c))]
-                    for a in range(4)
-                    for b in range(4)
-                    for c in range(4)
-                ],
-            )
-        return (0 if ok else 1), text
-    thetas = np.linspace(0.0, math.pi / 2, cfg.grid_steps)
-    reports = nonlocality_scan(thetas, cfg.phi)
-    if cfg.output_format == "json":
-        doc = {
-            "command": "network-scan",
-            "phi": _fmt(cfg.phi),
-            "grid_steps": cfg.grid_steps,
-            "bound": _fmt(TRILOCAL_BOUND),
-            "points": [
-                {
-                    "theta": _fmt(r.theta),
-                    "p_same": _fmt(r.p_same),
-                    "violates": r.violates,
-                }
-                for r in reports
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = _csv_text(
-            ["theta", "p_same", "bound", "violates"],
-            [
-                [_fmt_s(r.theta), _fmt_s(r.p_same), _fmt_s(r.bound), str(r.violates).lower()]
-                for r in reports
-            ],
-        )
-    return 0, text
-
-
-def cmd_curve(cfg: RunConfig) -> tuple[int, str]:
-    thetas = np.linspace(0.0, math.pi / 2, cfg.grid_steps + 1)
-    sjm_rows = concurrence_curve("sjm", thetas)
-    ejm_rows = concurrence_curve("ejm-family", thetas)
-    points = [
-        (theta, c_sjm, c_ejm, 0.5)
-        for (theta, c_sjm), (_, c_ejm) in zip(sjm_rows, ejm_rows)
-    ]
-    if cfg.output_format == "json":
-        doc = {
-            "command": "curve",
-            "grid_steps": cfg.grid_steps,
-            "points": [
-                {
-                    "theta": _fmt(t),
-                    "c_sjm": _fmt(cs),
-                    "c_ejm_family": _fmt(ce),
-                    "c_original_ejm": _fmt(co),
-                }
-                for t, cs, ce, co in points
-            ],
-        }
-        return 0, json.dumps(doc, indent=2) + "\n"
-    return 0, _csv_text(
-        ["theta", "c_sjm", "c_ejm_family", "c_original_ejm"],
-        [[_fmt_s(t), _fmt_s(cs), _fmt_s(ce), _fmt_s(co)] for t, cs, ce, co in points],
-    )
-
-
-def cmd_multiqubit(cfg: RunConfig) -> tuple[int, str]:
-    basis = multi_sjm_basis(cfg.n, cfg.params)
-    seed_used: int | None = None
-    if basis.n >= 8:
-        seed_used = cfg.seed if cfg.seed is not None else 0
-        check = gram_residual(basis, rng=np.random.default_rng(seed_used))
-    else:
-        check = gram_residual(basis)
-    ok = check.residual <= 1e-10
-    reductions = [
-        (ks, position, multi_reduction_vector(basis, ks, position))
-        for ks in basis.index_tuples()
-        for position in range(basis.n)
-    ]
-    if cfg.output_format == "json":
-        doc = {
-            "command": "multiqubit",
-            "n": cfg.n,
-            "theta": _fmt(cfg.theta),
-            "phi": _fmt(cfg.phi),
-            "gram": {
-                "residual": _fmt(check.residual),
-                "exhaustive": check.exhaustive,
-                "pairs_sampled": check.pairs_sampled,
-                "seed": seed_used,
-            },
-            "reductions": [
-                {
-                    "index": list(ks),
-                    "position": position,
-                    "x": _fmt(v[0]),
-                    "y": _fmt(v[1]),
-                    "z": _fmt(v[2]),
-                }
-                for ks, position, v in reductions
-            ],
-            "pass": ok,
-        }
-        return (0 if ok else 1), json.dumps(doc, indent=2) + "\n"
-    text = _csv_text(
-        ["index", "position", "x", "y", "z"],
-        [
-            ["".join(map(str, ks)), str(position), _fmt_s(v[0]), _fmt_s(v[1]), _fmt_s(v[2])]
-            for ks, position, v in reductions
+    return Table(
+        head={"command": "circuit", **_point(cfg), "circuit": circuit_to_dict(circuit)},
+        key="mappings", rows=[
+            {"state": m.state_index, "target": m.target_index, "target_bits": m.target_bits,
+             "magnitude": _fmt(m.magnitude), "phase": _fmt(m.phase)}
+            for m in report.mappings
         ],
+        columns=("state", "target", "target_bits", "magnitude", "phase"),
+        tail={"targets_distinct": report.targets_distinct,
+              "max_magnitude_error": _fmt(report.max_magnitude_error),
+              "reference_sign_residual": _fmt(report.reference_sign_residual),
+              "pass": report.passed}, code=0 if report.passed else 1,
     )
-    return (0 if ok else 1), text
 
 
-_DISPATCH = {
-    "basis": cmd_basis,
-    "verify": cmd_verify,
-    "circuit": cmd_circuit,
-    "network": cmd_network,
-    "curve": cmd_curve,
-    "multiqubit": cmd_multiqubit,
-}
+def cmd_network(cfg: RunConfig) -> Table:
+    if cfg.mode == "scan":
+        return Table(
+            head={"command": "network-scan", "phi": _fmt(cfg.phi), "grid_steps": cfg.grid_steps,
+                  "bound": _fmt(TRILOCAL_BOUND)},
+            key="points", rows=(
+                {"theta": _fmt(r.theta), "p_same": _fmt(r.p_same), "violates": r.violates}
+                for r in nonlocality_scan(np.linspace(0.0, math.pi / 2, cfg.grid_steps), cfg.phi)
+            ),
+            columns=("theta", "p_same", "bound", "violates"),
+        )
+    dist = joint_distribution(cfg.params)
+    outcomes = list(itertools.product(range(4), repeat=3))
+    residual = max(
+        abs(dist.prob(a, b, c) - closed_form_probability(a, b, c, cfg.theta))
+        for a, b, c in outcomes
+    )
+    ok = residual <= 1e-10
+    return Table(
+        head={"command": "network-table", **_point(cfg)},
+        key="outcomes", rows=(
+            {"a": a, "b": b, "c": c, "probability": _fmt(dist.prob(a, b, c))}
+            for a, b, c in outcomes
+        ),
+        columns=("a", "b", "c", "probability"), code=0 if ok else 1,
+        tail={"total": _fmt(dist.total()), "closed_form_residual": _fmt(residual), "pass": ok},
+    )
+
+
+def cmd_curve(cfg: RunConfig) -> Table:
+    thetas = np.linspace(0.0, math.pi / 2, cfg.grid_steps + 1)
+    sjm_rows, ejm_rows = (concurrence_curve(family, thetas) for family in ("sjm", "ejm-family"))
+    return Table(
+        head={"command": "curve", "grid_steps": cfg.grid_steps},
+        key="points", rows=(
+            {"theta": _fmt(theta), "c_sjm": _fmt(c_sjm), "c_ejm_family": _fmt(c_ejm),
+             "c_original_ejm": 0.5}
+            for (theta, c_sjm), (_, c_ejm) in zip(sjm_rows, ejm_rows)
+        ),
+        columns=("theta", "c_sjm", "c_ejm_family", "c_original_ejm"),
+    )
+
+
+def cmd_multiqubit(cfg: RunConfig) -> Table:
+    basis = multi_sjm_basis(cfg.n, cfg.params)
+    seed, rng = _gram_seed(cfg)
+    check = gram_residual(basis, rng=rng)
+    ok = check.residual <= 1e-10
+
+    def reductions() -> Iterator[dict]:
+        for ks in basis.index_tuples():
+            for position in range(basis.n):
+                x, y, z = multi_reduction_vector(basis, ks, position)
+                yield {"index": list(ks), "position": position,
+                       "x": _fmt(x), "y": _fmt(y), "z": _fmt(z)}
+
+    gram = {"residual": _fmt(check.residual), "exhaustive": check.exhaustive,
+            "pairs_sampled": check.pairs_sampled, "seed": seed}
+    return Table(
+        head={"command": "multiqubit", "n": cfg.n, **_point(cfg), "gram": gram},
+        key="reductions", rows=reductions(), columns=("index", "position", "x", "y", "z"),
+        tail={"pass": ok}, code=0 if ok else 1,
+    )
+
+
+_DISPATCH = {"basis": cmd_basis, "verify": cmd_verify, "circuit": cmd_circuit,
+             "network": cmd_network, "curve": cmd_curve, "multiqubit": cmd_multiqubit}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -532,15 +331,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        code, text = _DISPATCH[cfg.command](cfg)
+        table = _DISPATCH[cfg.command](cfg)
     except ValueError as exc:
         parser.error(str(exc))
-    if cfg.output_path is not None:
-        with open(cfg.output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    # Every input error is reported above, before the output is opened, so
+    # invalid input never creates or truncates an --output file.
+    path = cfg.output_path
+    try:
+        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+            (write_json if cfg.output_format == "json" else write_csv)(table, out)
+    except OSError as exc:
+        parser.error(f"cannot write {path or 'stdout'}: {exc.strerror or exc}")
+    return table.code
 
 
 if __name__ == "__main__":

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import bloch_vector
-from .bases import SjmParams, component_state, cos_k_pi
+from .bases import _COMPONENT_NORM, _EIGHTH_TURN, SjmParams, component_state, cos_k_pi, sjm_basis
 from .linalg import inner, orthonormality_residual, partial_trace, tensor
 
 # Dimension 4096 keeps construction and sampling interactive; a config
 # constant, not an algorithmic limit.
 N_CAP = 12
-
-_COMPONENT_NORM = 1.0 / math.sqrt(4.0 + 2.0 * math.sqrt(2.0))
-_EIGHTH_TURN = np.exp(0.25j * math.pi)
 
 
 def aux_state(which: int, sign: int, phi: float) -> np.ndarray:
@@ -161,3 +158,42 @@ def multi_reduction_closed_form(
             inv_root2 * sign * 2.0 ** ((1.0 - n) / 2.0) * ck * st,
         ]
     )
+
+
+def multi_invariant_residuals(
+    n: int, params: SjmParams, rng: np.random.Generator | None = None
+) -> list[tuple[str, float, float]]:
+    """Every multiqubit invariant at `params` as (name, residual, tolerance),
+    checking the n-qubit basis; `rng` seeds the sampled Gram check (n >= 8)."""
+    two = sjm_basis(params)
+    multi_two = multi_sjm_basis(2, params)
+    match = max(
+        float(np.abs(a - b).max()) for a, b in zip(two.states, multi_two.states)
+    )
+    aux_orth = max(
+        abs(inner(aux_state(which, +1, params.phi), aux_state(which, -1, params.phi)))
+        for which in (0, 1)
+    )
+    overlap_product = max(
+        abs(pairwise_overlap_product(j, k, params) - (1.0 if j == k else 0.0))
+        for j in range(4)
+        for k in range(4)
+    )
+    basis = multi_sjm_basis(n, params) if n != 2 else multi_two
+    check = gram_residual(basis, rng=rng)
+    reduction = 0.0
+    for ks in basis.index_tuples():
+        for position in range(basis.n):
+            numeric = multi_reduction_vector(basis, ks, position)
+            closed = multi_reduction_closed_form(
+                ks[position // 2], params, basis.n, position
+            )
+            reduction = max(reduction, float(np.abs(numeric - closed).max()))
+    return [
+        ("multi_two_qubit_match_residual", match, 1e-12),
+        ("aux_orthogonality_residual", float(aux_orth), 1e-12),
+        ("overlap_product_residual", float(overlap_product), 1e-12),
+        ("multi_gram_residual", check.residual, 1e-10),
+        ("multi_reduction_residual", reduction, 1e-10),
+    ]
+

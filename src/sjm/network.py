@@ -119,12 +119,9 @@ def closed_form_probability(j: int, k: int, l: int, theta: float) -> float:
 
 
 def p_same_outcome(params: SjmParams) -> float:
-    """p(a = b = c) from the brute-force distribution; self-checked against
-    the closed form (4 + 21 sin^2 theta)/64."""
-    value = joint_distribution(params).p_same()
-    expected = (4.0 + 21.0 * math.sin(params.theta) ** 2) / 64.0
-    assert abs(value - expected) <= 1e-10, "p_same disagrees with closed form"
-    return value
+    """p(a = b = c) from the brute-force distribution.  The tests check it
+    against the closed form (4 + 21 sin^2 theta)/64."""
+    return joint_distribution(params).p_same()
 
 
 def threshold_theta() -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjm.analysis import (
     ALIGNED_VERTICES_FIRST,
@@ -27,8 +29,10 @@ from sjm.bases import (
     original_ejm_basis,
     sjm_basis,
 )
-from sjm.linalg import PAULI_Y, ket, tensor
+from sjm.linalg import PAULI_Y, ket, partial_trace, tensor
 
+THETAS = st.floats(0.0, math.pi / 2)
+PHIS = st.floats(-math.pi, math.pi)
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
 GRID = [(t, p) for t in THETA_GRID for p in PHI_GRID]
@@ -112,8 +116,6 @@ def test_original_ejm_iso_entangled():
 @pytest.mark.parametrize("theta,phi", GRID)
 def test_purity_relation(theta, phi):
     # tr rho^2 = 1 - C^2/2 for any pure two-qubit state.
-    from sjm.linalg import partial_trace
-
     state = sjm_basis(SjmParams(theta, phi)).states[1]
     rho = partial_trace(state, 0)
     purity = np.trace(rho @ rho).real
@@ -199,3 +201,26 @@ def test_concurrence_curve_families():
     assert ejm_rows[-1][1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         concurrence_curve("bell", thetas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=THETAS, phi=PHIS, k=st.integers(0, 3))
+def test_concurrence_determinant_route_matches_purity_route(theta, phi, k):
+    # C = 2|det M| against C = sqrt(2 (1 - tr rho^2)), with both marginals
+    # sharing one purity, and both equal to sin(theta)/2.
+    state = sjm_basis(SjmParams(theta, phi)).states[k]
+    purities = [np.trace(rho @ rho).real for rho in (partial_trace(state, q) for q in (0, 1))]
+    assert abs(purities[0] - purities[1]) <= 1e-10
+    from_purity = math.sqrt(max(2.0 * (1.0 - purities[0]), 0.0))
+    value = concurrence(state)
+    assert abs(value - from_purity) <= 1e-7
+    assert abs(value - math.sin(theta) / 2.0) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(thetas=st.lists(THETAS, min_size=1, max_size=5))
+def test_concurrence_curve_matches_closed_forms(thetas):
+    for theta, value in concurrence_curve("sjm", thetas):
+        assert abs(value - math.sin(theta) / 2.0) <= 1e-10
+    for theta, value in concurrence_curve("ejm-family", thetas):
+        assert abs(value - 0.5 * math.sqrt(1.0 + 3.0 * math.sin(theta) ** 2)) <= 1e-10

@@ -1,13 +1,28 @@
 """End-to-end tests driving the command-line interface through ``main``."""
 
+import importlib
+import io
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjm.bases import ejm_aligned
 from sjm.circuit import build_sjm_circuit, circuit_from_dict
-from sjm.cli import main
+from sjm.cli import (
+    _CHUNK_ROWS,
+    GRID_STEPS_CAP,
+    Table,
+    _cells,
+    _fmt,
+    build_parser,
+    config_from_args,
+    main,
+    write_json,
+)
 
 
 def run_cli(capsys, *argv):
@@ -244,3 +259,117 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["all_pass"] is True
+
+
+def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "out.json", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--output", str(path)])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith("sjm: error: cannot write")
+        assert sum(line.startswith("sjm: error:") for line in lines) == 1
+        assert not any("Traceback" in line for line in lines)
+
+
+def test_invalid_input_never_touches_output(tmp_path, capsys):
+    path = tmp_path / "f"
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--n", "14", "--output", str(path)])
+    assert exc.value.code == 2
+    assert not path.exists()
+    path.write_text("kept\n", encoding="utf-8")
+    invalid = (["basis", "--n", "14"], ["verify", "--theta", "2.0"], ["curve", "--grid-steps", "0"])
+    for argv in invalid:
+        with pytest.raises(SystemExit):
+            main(argv + ["--output", str(path)])
+    assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--seed", "1"],
+        ["basis", "--grid-steps", "8"],
+        ["verify", "--grid-steps", "8"],
+        ["multiqubit", "--grid-steps", "8"],
+        ["circuit", "--n", "4"],
+        ["circuit", "--seed", "1"],
+        ["circuit", "--grid-steps", "8"],
+        ["network", "table", "--n", "4"],
+        ["network", "scan", "--seed", "1"],
+        ["curve", "--theta", "0.3"],
+        ["curve", "--phi-frac", "1/4"],
+        ["curve", "--n", "4"],
+        ["curve", "--seed", "1"],
+    ],
+)
+def test_flags_a_command_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_grid_steps_cap(capsys):
+    args = build_parser().parse_args(["curve", "--grid-steps", str(GRID_STEPS_CAP)])
+    assert config_from_args(args).grid_steps == GRID_STEPS_CAP
+    for argv in (["curve"], ["network", "scan"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--grid-steps", str(GRID_STEPS_CAP + 1)])
+        assert exc.value.code == 2
+        assert f"grid-steps must be in [1, {GRID_STEPS_CAP}]" in capsys.readouterr().err
+
+
+def test_benchmark_argv_uses_only_accepted_flags(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    parser = build_parser()
+    for name in workloads.WORKLOADS:
+        for size in workloads.SIZES:
+            stream = workloads.OpStream(name, seed=1, size=size)
+            for op in [stream.warmup] + stream.next_cycle():
+                config_from_args(parser.parse_args(op.argv))
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+FIELDS = st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3)
+ROWS = st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3)
+CHUNK_EDGES = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    head=FIELDS,
+    rows=st.lists(ROWS, min_size=1, max_size=4),
+    count=st.sampled_from(CHUNK_EDGES),
+    tail=FIELDS,
+)
+def test_write_json_matches_json_dumps(head, rows, count, tail):
+    rows = [rows[i % len(rows)] for i in range(count)]  # on both sides of chunk boundaries
+    # Distinct keys, so the document is exactly head, rows, then tail.
+    head = {"h" + k: v for k, v in head.items()} | {"command": "x"}
+    tail = {"t" + k: v for k, v in tail.items()}
+    out = io.StringIO()
+    write_json(Table(head=head, key="rows", rows=iter(rows), columns=(), tail=tail), out)
+    assert out.getvalue() == json.dumps({**head, "rows": rows, **tail}, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-1e308, 1e308))
+def test_csv_cell_of_rounded_float_is_its_15_digit_form(x):
+    # Rows carry floats already rounded by _fmt; the CSV cell must still be
+    # exactly the 15-significant-digit form of the unrounded value.  (Above
+    # 1.79769313486231e308 the rounding overflows to inf; the CLI's values
+    # are amplitudes, probabilities, angles and residuals, all far below.)
+    assert _cells(_fmt(x)) == [f"{x:.15g}"]
+    assert _cells([[_fmt(x), _fmt(-x)]]) == [f"{x:.15g}", f"{-x:.15g}"]

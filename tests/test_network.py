@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjm.bases import SjmParams, bell_psi_plus, ejm_aligned, sjm_basis
 from sjm.linalg import partial_trace, permute_qubits, tensor
@@ -121,6 +123,13 @@ def test_outcome_amplitude_single_entry():
 def test_p_same_formula(theta):
     p = p_same_outcome(SjmParams(theta, 0.4))
     assert abs(p - (4 + 21 * math.sin(theta) ** 2) / 64) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi))
+def test_p_same_closed_form_random_point(theta, phi):
+    p = p_same_outcome(SjmParams(theta, phi))
+    assert abs(p - (4 + 21 * math.sin(theta) ** 2) / 64) <= 1e-10
 
 
 def test_p_same_aligned_value():
