@@ -23,7 +23,8 @@ from .bases import (
     sjm_overlap_closed_form,
     sjm_state_closed_form,
 )
-from .linalg import PAULIS, inner, ket, num_qubits, partial_trace
+from .linalg import (PAULIS, completeness_residual, gram_matrix, inner, ket, num_qubits,
+                     orthonormality_residual, partial_trace)
 
 TOL_AXIS = 1e-10
 
@@ -77,15 +78,20 @@ def ejm_family_concurrence_closed_form(theta: float) -> float:
     return 0.5 * math.sqrt(1.0 + 3.0 * math.sin(theta) ** 2)
 
 
-def sjm_reduction_closed_form(k: int, params: SjmParams, qubit: int) -> np.ndarray:
-    """Closed-form Bloch vector of basis state k's marginal on the given qubit.
+def multi_reduction_closed_form(k: int, params: SjmParams, n: int, position: int) -> np.ndarray:
+    """Closed-form Bloch vector of the reduction at one qubit position
+    (0-based) of pair i = position // 2, whose direction index is k:
 
-    The two marginals differ only by the sign of the cos(theta) terms and
-    of the z component.
+        (1/sqrt 2) (-cos(k pi) cos(phi_k) +- cos(theta) sin(phi_k),
+                    -cos(k pi) sin(phi_k) -+ cos(theta) cos(phi_k),
+                    +- 2^{(1-n)/2} cos(k pi) sin(theta))
+
+    with the upper sign on the first qubit of the pair (even position) and
+    the lower on the second.
     """
-    if qubit not in (0, 1):
-        raise ValueError(f"qubit must be 0 or 1, got {qubit}")
-    sign = 1.0 if qubit == 0 else -1.0
+    if not 0 <= position < n:
+        raise ValueError(f"position {position} out of range for n={n}")
+    sign = 1.0 if position % 2 == 0 else -1.0
     ck = cos_k_pi(k)
     phik = params.phi_k(k)
     ct, st = math.cos(params.theta), math.sin(params.theta)
@@ -94,9 +100,14 @@ def sjm_reduction_closed_form(k: int, params: SjmParams, qubit: int) -> np.ndarr
         [
             inv_root2 * (-ck * math.cos(phik) + sign * ct * math.sin(phik)),
             inv_root2 * (-ck * math.sin(phik) - sign * ct * math.cos(phik)),
-            sign * 0.5 * ck * st,
+            inv_root2 * sign * 2.0 ** ((1.0 - n) / 2.0) * ck * st,
         ]
     )
+
+
+def sjm_reduction_closed_form(k: int, params: SjmParams, qubit: int) -> np.ndarray:
+    """Closed-form Bloch vector of two-qubit basis state k's marginal on qubit 0 or 1."""
+    return multi_reduction_closed_form(k, params, 2, qubit)
 
 
 def symmetry_axis(k: int, params: SjmParams) -> np.ndarray:
@@ -181,7 +192,7 @@ def invariant_residuals(params: SjmParams) -> list[tuple[str, float, float]]:
     """Every two-qubit invariant of the basis at `params` as
     (name, residual, tolerance); `sjm verify` reports them in this order."""
     basis = sjm_basis(params)
-    gram = basis.gram()
+    gram = gram_matrix(basis.states)
     construction = max(
         float(np.abs(basis.states[k] - sjm_state_closed_form(k, params)).max())
         for k in range(4)
@@ -218,8 +229,8 @@ def invariant_residuals(params: SjmParams) -> list[tuple[str, float, float]]:
         abs(inner(ejm.states[j], aligned_states[(j + 1) % 4])) for j in range(4)
     )
     return [
-        ("orthonormality_residual", basis.orthonormality_residual(), 1e-10),
-        ("completeness_residual", basis.completeness_residual(), 1e-10),
+        ("orthonormality_residual", orthonormality_residual(basis.states), 1e-10),
+        ("completeness_residual", completeness_residual(basis.states), 1e-10),
         ("construction_closed_form_residual", construction, 1e-12),
         ("overlap_closed_form_residual", float(overlap_cf), 1e-12),
         ("component_overlap_residual", float(component_overlap), 1e-12),

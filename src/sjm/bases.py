@@ -40,6 +40,11 @@ def _checked_angle(value: float, low: float, high: float, message: str) -> float
     raise ValueError(f"{message}: {value}")
 
 
+def _fmt(x: float) -> float:
+    """Round a float to 15 significant digits for emission."""
+    return float(f"{x:.15g}")
+
+
 @dataclass(frozen=True)
 class SjmParams:
     """Angles (radians) selecting one symmetric joint measurement."""
@@ -73,33 +78,22 @@ def ejm_aligned() -> SjmParams:
 class BasisLabel(Enum):
     SJM = "sjm"
     ORIGINAL_EJM = "original-ejm"
-    PRODUCT = "product"
-    BELL = "bell"
 
 
 @dataclass(frozen=True)
 class JointBasis:
-    """An ordered set of two-qubit states meant to form a measurement basis."""
+    """An ordered set of two-qubit states meant to form a measurement basis,
+    held as one read-only complex128 array of shape (count, 4), a state per row."""
 
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     label: BasisLabel
     params: SjmParams | None = None
 
+    def __post_init__(self) -> None:
+        self.states.flags.writeable = False
+
     def __len__(self) -> int:
         return len(self.states)
-
-    def gram(self) -> np.ndarray:
-        v = np.asarray(self.states)
-        return v.conj() @ v.T
-
-    def orthonormality_residual(self) -> float:
-        g = self.gram()
-        return float(np.abs(g - np.eye(len(self.states))).max())
-
-    def completeness_residual(self) -> float:
-        v = np.asarray(self.states)
-        proj = v.T @ v.conj()
-        return float(np.abs(proj - np.eye(v.shape[1])).max())
 
 
 def direction_state(k: int, sign: int, params: SjmParams) -> np.ndarray:
@@ -159,7 +153,7 @@ def sjm_state_closed_form(k: int, params: SjmParams) -> np.ndarray:
 def sjm_basis(params: SjmParams) -> JointBasis:
     """The four-state symmetric joint-measurement basis at the given angles."""
     return JointBasis(
-        states=tuple(sjm_state(k, params) for k in range(4)),
+        states=np.array([sjm_state(k, params) for k in range(4)]),
         label=BasisLabel.SJM,
         params=params,
     )
@@ -198,7 +192,7 @@ def original_ejm_state(j: int) -> np.ndarray:
 def original_ejm_basis() -> JointBasis:
     """The original elegant joint measurement (iso-entangled, concurrence 1/2)."""
     return JointBasis(
-        states=tuple(original_ejm_state(j) for j in range(4)),
+        states=np.array([original_ejm_state(j) for j in range(4)]),
         label=BasisLabel.ORIGINAL_EJM,
         params=None,
     )

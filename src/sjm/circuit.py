@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bases import JointBasis, SjmParams
+from .bases import JointBasis, SjmParams, _fmt
 from .linalg import PAULI_X, apply_gate, num_qubits
 
 TOL_CIRCUIT = 1e-8
@@ -221,10 +221,6 @@ def verify_discrimination(circuit: GateCircuit, basis: JointBasis) -> Discrimina
         reference_sign_residual=sign_residual,
         passed=distinct and max_err <= TOL_CIRCUIT,
     )
-
-
-def _fmt(x: float) -> float:
-    return float(f"{x:.15g}")
 
 
 def circuit_to_dict(circuit: GateCircuit) -> dict:

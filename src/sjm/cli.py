@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .analysis import concurrence_curve, invariant_residuals
-from .bases import SjmParams, sjm_basis
+from .bases import SjmParams, _fmt, sjm_basis
 from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
 from .multiqubit import (
     gram_residual, multi_invariant_residuals, multi_reduction_vector, multi_sjm_basis,
@@ -40,11 +40,6 @@ GRID_STEPS_CAP = 65536
 # Rows per json.dumps call: amortizes the per-call cost over many small
 # rows, while a chunk of the widest rows (basis, n = 12) stays tens of MB.
 _CHUNK_ROWS = 64
-
-
-def _fmt(x: float) -> float:
-    """Round a float to 15 significant digits for emission."""
-    return float(f"{x:.15g}")
 
 
 @dataclass(frozen=True)
@@ -208,9 +203,7 @@ def _gram_seed(cfg: RunConfig) -> tuple[int | None, np.random.Generator | None]:
 
 
 def cmd_basis(cfg: RunConfig) -> Table:
-    basis = sjm_basis(cfg.params) if cfg.n == 2 else multi_sjm_basis(cfg.n, cfg.params)
-    states = basis.states
-    indices = [(k,) for k in range(4)] if cfg.n == 2 else basis.index_tuples()
+    basis = multi_sjm_basis(cfg.n, cfg.params)
 
     def amplitudes(state: np.ndarray) -> list[list[float]]:
         # _fmt of every part, but by one %-operation: 1.4x faster per state.
@@ -218,11 +211,12 @@ def cmd_basis(cfg: RunConfig) -> Table:
         parts = iter(map(float, text.split()))
         return [[re, im] for re, im in zip(parts, parts)]
 
-    rows = ({"index": list(ks), "amplitudes": amplitudes(s)} for ks, s in zip(indices, states))
+    rows = ({"index": list(ks), "amplitudes": amplitudes(s)}
+            for ks, s in zip(basis.index_tuples(), basis.states))
     return Table(
         head={"command": "basis", "n": cfg.n, **_point(cfg)}, key="states", rows=rows,
         columns=("index", "amplitudes"),
-        header=["index"] + [f"amp{i}_{p}" for i in range(len(states[0])) for p in ("re", "im")],
+        header=["index"] + [f"amp{i}_{p}" for i in range(2**cfg.n) for p in ("re", "im")],
     )
 
 

@@ -9,13 +9,12 @@ auxiliary orthonormal single-qubit bases.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import bloch_vector
-from .bases import _COMPONENT_NORM, _EIGHTH_TURN, SjmParams, component_state, cos_k_pi, sjm_basis
+from .analysis import bloch_vector, multi_reduction_closed_form
+from .bases import _COMPONENT_NORM, _EIGHTH_TURN, SjmParams, component_state, sjm_basis
 from .linalg import inner, orthonormality_residual, partial_trace, tensor
 
 # Dimension 4096 keeps construction and sampling interactive; a config
@@ -53,11 +52,15 @@ def pairwise_overlap_product(j: int, k: int, params: SjmParams) -> complex:
 
 @dataclass(frozen=True)
 class MultiSjmBasis:
-    """The 4^{n/2} basis states, ordered lexicographically by index tuple."""
+    """The 4^{n/2} basis states, ordered lexicographically by index tuple, as
+    one read-only complex128 array of shape (4**(n//2), 2**n), a state per row."""
 
     n: int
     params: SjmParams
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.states.flags.writeable = False
 
     def index_tuples(self) -> list[tuple[int, ...]]:
         return list(itertools.product(range(4), repeat=self.n // 2))
@@ -80,12 +83,13 @@ def multi_sjm_basis(n: int, params: SjmParams) -> MultiSjmBasis:
     forward = [tensor(component_state(k, 0, params), component_state(k, 1, params)) for k in range(4)]
     swapped = [tensor(component_state(k, 1, params), component_state(k, 0, params)) for k in range(4)]
     mix = np.exp(1j * params.theta)
-    states = []
-    for ks in itertools.product(range(4), repeat=pairs):
+    # Rows are written in place: at n = 12 the array alone is 268 MB.
+    states = np.empty((4**pairs, 2**n), dtype=complex)
+    for row, ks in enumerate(itertools.product(range(4), repeat=pairs)):
         first = tensor(*(forward[k] for k in ks))
         second = tensor(*(swapped[k] for k in ks))
-        states.append(0.5 * ((1.0 + mix) * first + (1.0 - mix) * second))
-    return MultiSjmBasis(n=n, params=params, states=tuple(states))
+        states[row] = 0.5 * ((1.0 + mix) * first + (1.0 - mix) * second)
+    return MultiSjmBasis(n=n, params=params, states=states)
 
 
 @dataclass(frozen=True)
@@ -134,32 +138,6 @@ def multi_reduction_vector(
     return bloch_vector(partial_trace(basis.state_for(ks), position))
 
 
-def multi_reduction_closed_form(
-    k: int, params: SjmParams, n: int, position: int
-) -> np.ndarray:
-    """Closed form for the reduction at one position of pair i = position // 2:
-
-        (1/sqrt 2) (-cos(k pi) cos(phi_k) +- cos(theta) sin(phi_k),
-                    -cos(k pi) sin(phi_k) -+ cos(theta) cos(phi_k),
-                    +- 2^{(1-n)/2} cos(k pi) sin(theta))
-
-    with the upper sign on the first qubit of the pair (even position) and
-    the lower on the second.
-    """
-    sign = 1.0 if position % 2 == 0 else -1.0
-    ck = cos_k_pi(k)
-    phik = params.phi_k(k)
-    ct, st = math.cos(params.theta), math.sin(params.theta)
-    inv_root2 = 1.0 / math.sqrt(2.0)
-    return np.array(
-        [
-            inv_root2 * (-ck * math.cos(phik) + sign * ct * math.sin(phik)),
-            inv_root2 * (-ck * math.sin(phik) - sign * ct * math.cos(phik)),
-            inv_root2 * sign * 2.0 ** ((1.0 - n) / 2.0) * ck * st,
-        ]
-    )
-
-
 def multi_invariant_residuals(
     n: int, params: SjmParams, rng: np.random.Generator | None = None
 ) -> list[tuple[str, float, float]]:
@@ -167,9 +145,7 @@ def multi_invariant_residuals(
     checking the n-qubit basis; `rng` seeds the sampled Gram check (n >= 8)."""
     two = sjm_basis(params)
     multi_two = multi_sjm_basis(2, params)
-    match = max(
-        float(np.abs(a - b).max()) for a, b in zip(two.states, multi_two.states)
-    )
+    match = float(np.abs(two.states - multi_two.states).max())
     aux_orth = max(
         abs(inner(aux_state(which, +1, params.phi), aux_state(which, -1, params.phi)))
         for which in (0, 1)

@@ -67,7 +67,7 @@ class OutcomeDistribution:
 def joint_distribution(params: SjmParams) -> OutcomeDistribution:
     """Brute-force distribution: project the network state onto every
     triple of basis states."""
-    m = np.asarray(sjm_basis(params).states)  # (4, 4): state index x amplitudes
+    m = sjm_basis(params).states  # (4, 4): state index x amplitudes
     psi = triangle_state().reshape(4, 4, 4)  # party pairs (A1A2), (B1B2), (C1C2)
     amps = np.einsum("ja,kb,lc,abc->jkl", m.conj(), m.conj(), m.conj(), psi)
     return OutcomeDistribution(params=params, probs=np.maximum(np.abs(amps) ** 2, 0.0))

@@ -40,7 +40,7 @@ from sjm.circuit import (
     gate_matrix,
     verify_discrimination,
 )
-from sjm.linalg import PAULI_Y, inner, ket, partial_trace
+from sjm.linalg import PAULI_Y, gram_matrix, inner, ket, partial_trace
 from sjm.multiqubit import (
     multi_reduction_closed_form,
     multi_reduction_vector,
@@ -78,7 +78,7 @@ def test_criterion_1_orthonormality():
     checks = []
     for params in GRID:
         basis = sjm_basis(params)
-        gram = basis.gram()
+        gram = gram_matrix(basis.states)
         checks.append(
             (f"gram residual at {params}", float(np.abs(gram - np.eye(4)).max()), 1e-10)
         )

@@ -21,7 +21,15 @@ from sjm.bases import (
     sjm_state,
     sjm_state_closed_form,
 )
-from sjm.linalg import inner, ket, norm, partial_trace
+from sjm.linalg import (
+    completeness_residual,
+    gram_matrix,
+    inner,
+    ket,
+    norm,
+    orthonormality_residual,
+    partial_trace,
+)
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
@@ -139,14 +147,14 @@ def test_closed_form_frozen_at_aligned_point():
 def test_basis_orthonormal_and_complete(theta, phi):
     basis = sjm_basis(SjmParams(theta, phi))
     assert basis.label is BasisLabel.SJM
-    assert basis.orthonormality_residual() <= 1e-10
-    assert basis.completeness_residual() <= 1e-10
+    assert orthonormality_residual(basis.states) <= 1e-10
+    assert completeness_residual(basis.states) <= 1e-10
 
 
 @pytest.mark.parametrize("theta,phi", GRID + [(0.3, 1.1)])
 def test_gram_matches_overlap_closed_form(theta, phi):
     p = SjmParams(theta, phi)
-    gram = sjm_basis(p).gram()
+    gram = gram_matrix(sjm_basis(p).states)
     for j in range(4):
         for k in range(4):
             assert abs(gram[j, k] - sjm_overlap_closed_form(j, k, p)) <= 1e-12
@@ -167,8 +175,16 @@ def test_theta_zero_states_are_products():
 def test_original_ejm_orthonormal():
     basis = original_ejm_basis()
     assert basis.label is BasisLabel.ORIGINAL_EJM
-    assert basis.orthonormality_residual() <= 1e-10
-    assert basis.completeness_residual() <= 1e-10
+    assert orthonormality_residual(basis.states) <= 1e-10
+    assert completeness_residual(basis.states) <= 1e-10
+
+
+@pytest.mark.parametrize("basis", [sjm_basis(SjmParams(0.5, 0.1)), original_ejm_basis()])
+def test_basis_states_are_one_read_only_array(basis):
+    assert basis.states.shape == (4, 4)
+    assert basis.states.dtype == np.complex128
+    assert basis.states.flags.writeable is False
+    assert len(basis) == 4
 
 
 def test_original_ejm_frozen_first_state():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjm.bases import SjmParams, ejm_aligned, sjm_basis
 from sjm.circuit import (
@@ -23,6 +25,8 @@ from sjm.linalg import ket, unitarity_residual
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
 GRID = [(t, p) for t in THETA_GRID for p in PHI_GRID]
+THETAS = st.floats(0.0, math.pi / 2)
+PHIS = st.floats(-math.pi, math.pi)
 
 
 def test_fixed_gate_matrices():
@@ -128,6 +132,15 @@ def test_discrimination_on_grid(theta, phi):
     assert tuple(m.target_index for m in report.mappings) == EXPECTED_TARGETS
 
 
+@settings(max_examples=40, deadline=None)
+@given(theta=THETAS, phi=PHIS)
+def test_discrimination_random_point(theta, phi):
+    p = SjmParams(theta, phi)
+    report = verify_discrimination(build_sjm_circuit(p), sjm_basis(p))
+    assert report.passed
+    assert tuple(m.target_index for m in report.mappings) == EXPECTED_TARGETS
+
+
 @pytest.mark.parametrize("theta,phi", GRID)
 def test_outcome_probabilities_one_hot(theta, phi):
     p = SjmParams(theta, phi)
@@ -193,6 +206,13 @@ def test_json_roundtrip():
     assert circuit_to_json(parsed) == circuit_to_json(circuit_from_json(circuit_to_json(circuit)))
     assert parsed.params is not None
     assert parsed.params.theta == pytest.approx(0.7, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=THETAS, phi=PHIS)
+def test_json_roundtrip_random_point(theta, phi):
+    circuit = build_sjm_circuit(SjmParams(theta, phi))
+    assert circuit_from_json(circuit_to_json(circuit)).isclose(circuit)
 
 
 def test_roundtrip_without_params():

@@ -8,6 +8,9 @@ n = 8 basis and multiqubit tables) are checked by digest alone.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from sjm.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 
 
@@ -44,3 +48,20 @@ def test_output_file_matches_golden_stdout(case, tmp_path, capsys):
     assert code == case["exit"]
     assert capsys.readouterr().out == ""
     _check_bytes(case, path.read_bytes())
+
+
+# `python -O` strips assert statements, so no check may depend on one.
+OPTIMIZED = [c for c in CASES
+             if c["name"] in ("verify-n4.json", "network-table-point.csv", "circuit-default.json")]
+
+
+@pytest.mark.parametrize("case", OPTIMIZED, ids=[c["name"] for c in OPTIMIZED])
+def test_stdout_matches_golden_under_optimize(case):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "sjm.cli", *case["argv"]],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == case["exit"]
+    assert proc.stderr == b""
+    _check_bytes(case, proc.stdout)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sjm.analysis import rotation_about_axis, symmetry_axis
+from sjm.analysis import rotation_about_axis, sjm_reduction_closed_form, symmetry_axis
 from sjm.bases import SjmParams, component_state, ejm_aligned, sjm_basis
 from sjm.linalg import gram_matrix, inner, partial_trace
 from sjm.multiqubit import (
@@ -19,6 +21,8 @@ from sjm.multiqubit import (
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
+THETAS = st.floats(0.0, math.pi / 2)
+PHIS = st.floats(-math.pi, math.pi)
 
 
 @pytest.mark.parametrize("phi", PHI_GRID)
@@ -77,6 +81,25 @@ def test_two_pair_case_reduces_to_joint_basis():
         reference = sjm_basis(params)
         for k in range(4):
             np.testing.assert_allclose(multi.state_for((k,)), reference.states[k], atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=THETAS, phi=PHIS)
+def test_two_qubit_case_is_bit_equal_to_joint_basis(theta, phi):
+    # `sjm basis` emits multi_sjm_basis at every n, so n = 2 must match
+    # sjm_basis bit for bit.
+    params = SjmParams(theta, phi)
+    assert np.array_equal(multi_sjm_basis(2, params).states, sjm_basis(params).states)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6))
+def test_states_are_one_read_only_array(n):
+    states = multi_sjm_basis(n, SjmParams(0.5, 0.1)).states
+    assert states.shape == (4 ** (n // 2), 2**n)
+    assert states.dtype == np.complex128
+    assert states.flags.writeable is False
+    with pytest.raises(ValueError):
+        states[0, 0] = 0.0
 
 
 def test_basis_size_and_ordering():
@@ -194,6 +217,18 @@ def test_six_qubit_reductions_match_closed_form(theta, phi):
             np.testing.assert_allclose(actual, expected, atol=1e-10)
 
 
+@settings(max_examples=20, deadline=None)
+@given(theta=THETAS, phi=PHIS, n=st.sampled_from((2, 4)))
+def test_reductions_match_closed_form_random_point(theta, phi, n):
+    params = SjmParams(theta, phi)
+    basis = multi_sjm_basis(n, params)
+    for ks in basis.index_tuples():
+        for position in range(n):
+            actual = multi_reduction_vector(basis, ks, position)
+            expected = multi_reduction_closed_form(ks[position // 2], params, n, position)
+            np.testing.assert_allclose(actual, expected, atol=1e-10)
+
+
 def test_pair_partners_related_by_axis_rotation():
     # Within each sourced pair the two marginals map onto each other under a
     # half-turn about the in-plane axis set by the phase angle.
@@ -241,6 +276,10 @@ def test_reduction_position_validation():
         multi_reduction_vector(basis, (0, 0), 4)
     with pytest.raises(ValueError):
         multi_reduction_vector(basis, (0, 0), -1)
+    with pytest.raises(ValueError):
+        multi_reduction_closed_form(0, basis.params, 4, 4)
+    with pytest.raises(ValueError):
+        sjm_reduction_closed_form(0, basis.params, 2)
 
 
 def test_gram_matrix_off_diagonal_structure():

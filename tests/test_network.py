@@ -77,6 +77,14 @@ def test_distribution_normalized_and_symmetric(theta, phi):
     assert dist.permutation_residual() <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi))
+def test_distribution_normalized_and_symmetric_random_point(theta, phi):
+    dist = joint_distribution(SjmParams(theta, phi))
+    assert abs(dist.total() - 1) <= 1e-10
+    assert dist.permutation_residual() <= 1e-12
+
+
 def test_aligned_distribution_values():
     dist = joint_distribution(ejm_aligned())
     values = np.sort(dist.probs.ravel())
