@@ -80,10 +80,11 @@ class BasisLabel(Enum):
     ORIGINAL_EJM = "original-ejm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointBasis:
     """An ordered set of two-qubit states meant to form a measurement basis,
-    held as one read-only complex128 array of shape (count, 4), a state per row."""
+    held as one read-only complex128 array of shape (count, 4), a state per row.
+    Equality and hashing are by identity."""
 
     states: np.ndarray
     label: BasisLabel

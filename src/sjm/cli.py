@@ -3,7 +3,7 @@
 Commands emit JSON (default) or CSV on stdout, write to a file with
 --output, and send diagnostics to stderr.  Exit codes: 0 all checks pass,
 1 a verification failed, 2 invalid input or an unwritable --output.
-Identical invocations (including --seed) produce byte-identical output.
+Identical invocations produce byte-identical output (--seed changes nothing).
 All floats are emitted with 15 significant digits.
 
 Each command validates its input and returns a `Table` whose rows are
@@ -21,7 +21,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .analysis import concurrence_curve, invariant_residuals
 from .bases import SjmParams, _fmt, sjm_basis
 from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
 from .multiqubit import (
-    gram_residual, multi_invariant_residuals, multi_reduction_vector, multi_sjm_basis,
+    multi_gram_bound, multi_invariant_residuals, multi_reduction_vectors, multi_sjm_basis,
 )
 from .network import TRILOCAL_BOUND, closed_form_probability, joint_distribution, nonlocality_scan
 
@@ -51,7 +51,6 @@ class RunConfig:
     grid_steps: int
     output_format: str
     output_path: str | None
-    seed: int | None
     mode: str | None = None
 
     @property
@@ -88,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", metavar="PATH", help="write output to a file")
         if seed:
-            p.add_argument("--seed", type=int, help="seed for sampled checks")
+            p.add_argument("--seed", type=int, help="accepted and ignored: no check samples")
         return p
 
     add_command("basis", "emit the basis amplitude table", n=True)
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     network.add_argument("mode", choices=["table", "scan"])
     add_command("curve", "emit concurrence-versus-theta data for the state families",
                 angles=False, grid=True)
-    add_command("multiqubit", "emit multiqubit Gram check and reduction vectors", n=True, seed=True)
+    add_command("multiqubit", "emit multiqubit Gram bound and reduction vectors", n=True, seed=True)
     return parser
 
 
@@ -122,7 +121,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"grid-steps must be in [1, {GRID_STEPS_CAP}], got {args.grid_steps}")
     cfg = RunConfig(command=args.command, theta=theta, phi=phi, n=args.n,
                     grid_steps=args.grid_steps, output_format=args.format,
-                    output_path=args.output, seed=args.seed, mode=args.mode)
+                    output_path=args.output, mode=args.mode)
     cfg.params  # validate ranges before any computation
     return cfg
 
@@ -196,12 +195,6 @@ def _point(cfg: RunConfig) -> dict:
     return {"theta": _fmt(cfg.theta), "phi": _fmt(cfg.phi)}
 
 
-def _gram_seed(cfg: RunConfig) -> tuple[int | None, np.random.Generator | None]:
-    """Seed (default 0) and generator of the sampled Gram check; None below n = 8."""
-    seed = None if cfg.n < 8 else cfg.seed or 0
-    return seed, None if seed is None else np.random.default_rng(seed)
-
-
 def cmd_basis(cfg: RunConfig) -> Table:
     basis = multi_sjm_basis(cfg.n, cfg.params)
 
@@ -221,13 +214,12 @@ def cmd_basis(cfg: RunConfig) -> Table:
 
 
 def cmd_verify(cfg: RunConfig) -> Table:
-    seed, rng = _gram_seed(cfg)
-    residuals = invariant_residuals(cfg.params) + multi_invariant_residuals(cfg.n, cfg.params, rng)
+    residuals = invariant_residuals(cfg.params) + multi_invariant_residuals(cfg.n, cfg.params)
     report = [{"name": name, "residual": _fmt(r), "tolerance": tol, "pass": r <= tol}
               for name, r, tol in residuals]
     all_pass = all(entry["pass"] for entry in report)
     return Table(
-        head={"command": "verify", **_point(cfg), "n": cfg.n, "seed": seed},
+        head={"command": "verify", **_point(cfg), "n": cfg.n},
         key="invariants", rows=report, columns=("name", "residual", "tolerance", "pass"),
         tail={"all_pass": all_pass}, code=0 if all_pass else 1,
     )
@@ -295,23 +287,16 @@ def cmd_curve(cfg: RunConfig) -> Table:
 
 
 def cmd_multiqubit(cfg: RunConfig) -> Table:
-    basis = multi_sjm_basis(cfg.n, cfg.params)
-    seed, rng = _gram_seed(cfg)
-    check = gram_residual(basis, rng=rng)
-    ok = check.residual <= 1e-10
-
-    def reductions() -> Iterator[dict]:
-        for ks in basis.index_tuples():
-            for position in range(basis.n):
-                x, y, z = multi_reduction_vector(basis, ks, position)
-                yield {"index": list(ks), "position": position,
-                       "x": _fmt(x), "y": _fmt(y), "z": _fmt(z)}
-
-    gram = {"residual": _fmt(check.residual), "exhaustive": check.exhaustive,
-            "pairs_sampled": check.pairs_sampled, "seed": seed}
+    residual = multi_gram_bound(cfg.n, cfg.params)
+    ok = residual <= 1e-10
+    vectors = multi_reduction_vectors(cfg.n, cfg.params).tolist()
+    rows = ({"index": list(ks), "position": position, "x": _fmt(x), "y": _fmt(y), "z": _fmt(z)}
+            for ks, state in zip(itertools.product(range(4), repeat=cfg.n // 2), vectors)
+            for position, (x, y, z) in enumerate(state))
+    gram = {"residual": _fmt(residual)}
     return Table(
         head={"command": "multiqubit", "n": cfg.n, **_point(cfg), "gram": gram},
-        key="reductions", rows=reductions(), columns=("index", "position", "x", "y", "z"),
+        key="reductions", rows=rows, columns=("index", "position", "x", "y", "z"),
         tail={"pass": ok}, code=0 if ok else 1,
     )
 

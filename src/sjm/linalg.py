@@ -13,11 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Amplitudes are O(1) everywhere in this package, so tolerances are absolute.
-TOL_NORM = 1e-10   # norms, probabilities, orthonormality residuals
-TOL_EXACT = 1e-12  # algebra that is exact up to float rounding
-
-IDENTITY = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -4,20 +4,23 @@ An n-qubit basis (n even) indexed by tuples (k_1, ..., k_{n/2}) base 4,
 built by the same two-term symmetrization as the two-qubit case applied
 across all pairs at once.  Orthonormality rests on the identity
 <m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}> = delta_{jk}, made transparent by two
-auxiliary orthonormal single-qubit bases.
+auxiliary orthonormal single-qubit bases.  Each state is a sum of two
+product states over the pairs, so the Gram check and the reductions work
+from the 4x4 pair matrices alone; only `multi_sjm_basis` is dense (2^n).
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import bloch_vector, multi_reduction_closed_form
 from .bases import _COMPONENT_NORM, _EIGHTH_TURN, SjmParams, component_state, sjm_basis
-from .linalg import inner, orthonormality_residual, partial_trace, tensor
+from .linalg import PAULIS, inner, partial_trace, tensor
 
-# Dimension 4096 keeps construction and sampling interactive; a config
+# Dimension 4096 keeps the dense construction interactive; a config
 # constant, not an algorithmic limit.
 N_CAP = 12
 
@@ -50,10 +53,30 @@ def pairwise_overlap_product(j: int, k: int, params: SjmParams) -> complex:
     )
 
 
-@dataclass(frozen=True)
+def pair_matrices(params: SjmParams) -> tuple[np.ndarray, np.ndarray]:
+    """The 4x4 pair matrices (F, S): row k of F is m_{k,0} (x) m_{k,1}, row k
+    of S is m_{k,1} (x) m_{k,0}."""
+    m = [(component_state(k, 0, params), component_state(k, 1, params)) for k in range(4)]
+    return np.array([tensor(m0, m1) for m0, m1 in m]), np.array([tensor(m1, m0) for m0, m1 in m])
+
+
+def _pairs(n: int) -> int:
+    """Pair count n // 2 of a valid qubit count (n even, 2 <= n <= N_CAP)."""
+    if n % 2 != 0 or not 2 <= n <= N_CAP:
+        raise ValueError(f"n must be even with 2 <= n <= {N_CAP}, got {n}")
+    return n // 2
+
+
+def _index_array(pair_count: int) -> np.ndarray:
+    """Every index tuple in lexicographic (state) order, shape (4**pair_count, pair_count)."""
+    return np.indices((4,) * pair_count).reshape(pair_count, -1).T
+
+
+@dataclass(frozen=True, eq=False)
 class MultiSjmBasis:
     """The 4^{n/2} basis states, ordered lexicographically by index tuple, as
-    one read-only complex128 array of shape (4**(n//2), 2**n), a state per row."""
+    one read-only complex128 array of shape (4**(n//2), 2**n), a state per row.
+    Equality and hashing are by identity."""
 
     n: int
     params: SjmParams
@@ -68,20 +91,13 @@ class MultiSjmBasis:
     def state_for(self, ks: tuple[int, ...]) -> np.ndarray:
         if len(ks) != self.n // 2 or any(k not in (0, 1, 2, 3) for k in ks):
             raise ValueError(f"bad index tuple {ks} for n={self.n}")
-        flat = 0
-        for k in ks:
-            flat = 4 * flat + k
-        return self.states[flat]
+        return self.states[np.ravel_multi_index(ks, (4,) * len(ks))]
 
 
 def multi_sjm_basis(n: int, params: SjmParams) -> MultiSjmBasis:
-    """Build the n-qubit basis (n even, 2 <= n <= 12)."""
-    if n % 2 != 0 or not 2 <= n <= N_CAP:
-        raise ValueError(f"n must be even with 2 <= n <= {N_CAP}, got {n}")
-    pairs = n // 2
-    # Per direction index: the component pair in both orders.
-    forward = [tensor(component_state(k, 0, params), component_state(k, 1, params)) for k in range(4)]
-    swapped = [tensor(component_state(k, 1, params), component_state(k, 0, params)) for k in range(4)]
+    """Build the dense n-qubit basis (n even, 2 <= n <= 12)."""
+    pairs = _pairs(n)
+    forward, swapped = pair_matrices(params)
     mix = np.exp(1j * params.theta)
     # Rows are written in place: at n = 12 the array alone is 268 MB.
     states = np.empty((4**pairs, 2**n), dtype=complex)
@@ -92,84 +108,91 @@ def multi_sjm_basis(n: int, params: SjmParams) -> MultiSjmBasis:
     return MultiSjmBasis(n=n, params=params, states=states)
 
 
-@dataclass(frozen=True)
-class GramCheck:
-    """Result of an orthonormality check, exhaustive or sampled."""
+def multi_gram_bound(n: int, params: SjmParams) -> float:
+    """Bound on max |G - I| over every entry of the n-qubit Gram matrix G:
+    with a, b = |1 +- e^{i theta}|^2, P = n/2 pairs, A = conj(F) F^T,
+    B = conj(S) S^T and C = conj(F) S^T,
+        4(G - I) = a (A^{(x)P} - I) + b (B^{(x)P} - I) + (a + b - 4) I
+                   - 2i sin(theta) (C^{(x)P} - (C^H)^{(x)P}),
+    and |X^{(x)P} - Y^{(x)P}| <= P |X - Y| max(|X|, |Y|)^{P-1} in the max-entry
+    norm (telescoping; the norm is multiplicative over Kronecker products)."""
+    pairs = _pairs(n)
+    forward, swapped = pair_matrices(params)
+    mix = np.exp(1j * params.theta)
+    a, b = abs(1.0 + mix) ** 2, abs(1.0 - mix) ** 2
+    cross = forward.conj() @ swapped.T
 
-    residual: float
-    exhaustive: bool
-    pairs_sampled: int
+    def power_gap(x: np.ndarray, y: np.ndarray) -> float:
+        return pairs * np.abs(x - y).max() * max(np.abs(x).max(), np.abs(y).max()) ** (pairs - 1)
+
+    return float(0.25 * (a * power_gap(forward.conj() @ forward.T, np.eye(4))
+                         + b * power_gap(swapped.conj() @ swapped.T, np.eye(4)) + abs(a + b - 4.0)
+                         + 2.0 * abs(math.sin(params.theta)) * power_gap(cross, cross.conj().T)))
 
 
-def gram_residual(
-    basis: MultiSjmBasis, rng: np.random.Generator | None = None, pairs: int = 200
-) -> GramCheck:
-    """Max deviation of the Gram matrix from the identity.
+def multi_reduction_vectors(n: int, params: SjmParams) -> np.ndarray:
+    """Bloch vectors of every reduction, shape (4**(n//2), n, 3): [state, position].
 
-    Exhaustive for n <= 6.  For n >= 8 the full matrix grows quartically,
-    so all norms are checked and `pairs` off-diagonal entries are sampled;
-    the caller must supply a seeded generator so failures reproduce.
+    Tracing out every pair but p leaves on pair p (index k), with
+    alpha, beta = (1 +- e^{i theta})/2 and w_xy = prod_{q != p} <y_{k_q}|x_{k_q}>,
+    |alpha|^2 w_ff |f_k><f_k| + |beta|^2 w_ss |s_k><s_k| + (alpha conj(beta) w_fs |f_k><s_k|
+    + h.c.); a Bloch vector is linear in that operator, so it sums over the terms.
     """
-    if basis.n <= 6:
-        return GramCheck(
-            residual=orthonormality_residual(basis.states),
-            exhaustive=True,
-            pairs_sampled=0,
-        )
-    if rng is None:
-        raise ValueError("n >= 8 uses sampled Gram checking; pass a seeded rng")
-    worst = max(abs(inner(s, s) - 1.0) for s in basis.states)
-    count = len(basis.states)
-    for _ in range(pairs):
-        j = int(rng.integers(count))
-        k = int(rng.integers(count - 1))
-        if k >= j:
-            k += 1
-        worst = max(worst, abs(inner(basis.states[j], basis.states[k])))
-    return GramCheck(residual=float(worst), exhaustive=False, pairs_sampled=pairs)
+    pairs = _pairs(n)
+    forward, swapped = pair_matrices(params)
+    mix = np.exp(1j * params.theta)
+    alpha, beta = 0.5 * (1.0 + mix), 0.5 * (1.0 - mix)
+    ks = _index_array(pairs)
+
+    def term(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """w_xy times the Pauli expectations of |x_k><y_k| on each qubit of pair p."""
+        per_pair = np.einsum("ka,ka->k", y.conj(), x)[ks]
+        w = np.where(np.eye(pairs, dtype=bool), 1.0, per_pair[:, None, :]).prod(axis=2)
+        xm, ym = x.reshape(4, 2, 2), y.conj().reshape(4, 2, 2)
+        first = np.einsum("kac,kbc,pba->kp", xm, ym, PAULIS)  # trace out the pair's qubit 1
+        second = np.einsum("kac,kad,pdc->kp", xm, ym, PAULIS)  # trace out its qubit 0
+        return w[..., None, None] * np.stack([first, second], axis=1)[ks]
+
+    vectors = (abs(alpha) ** 2 * term(forward, forward) + abs(beta) ** 2 * term(swapped, swapped)
+               + 2.0 * alpha * beta.conjugate() * term(forward, swapped)).real
+    return vectors.reshape(4**pairs, n, 3)
 
 
-def multi_reduction_vector(
-    basis: MultiSjmBasis, ks: tuple[int, ...], position: int
-) -> np.ndarray:
-    """Bloch vector of the single-qubit reduction at a qubit position (0-based)."""
+def multi_reduction_vector(basis: MultiSjmBasis, ks: tuple[int, ...], position: int) -> np.ndarray:
+    """Bloch vector of one reduction of the dense state (qubit position 0-based),
+    by partial trace: the independent oracle of `multi_reduction_vectors`."""
     if not 0 <= position < basis.n:
         raise ValueError(f"position {position} out of range for n={basis.n}")
     return bloch_vector(partial_trace(basis.state_for(ks), position))
 
 
-def multi_invariant_residuals(
-    n: int, params: SjmParams, rng: np.random.Generator | None = None
-) -> list[tuple[str, float, float]]:
+def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, float, float]]:
     """Every multiqubit invariant at `params` as (name, residual, tolerance),
-    checking the n-qubit basis; `rng` seeds the sampled Gram check (n >= 8)."""
-    two = sjm_basis(params)
-    multi_two = multi_sjm_basis(2, params)
-    match = float(np.abs(two.states - multi_two.states).max())
+    certifying the n-qubit basis from its pair matrices."""
+    pairs = _pairs(n)
+    forward, swapped = pair_matrices(params)
+    mix = np.exp(1j * params.theta)
+    two_from_pairs = 0.5 * ((1.0 + mix) * forward + (1.0 - mix) * swapped)
+    match = float(np.abs(sjm_basis(params).states - two_from_pairs).max())
     aux_orth = max(
         abs(inner(aux_state(which, +1, params.phi), aux_state(which, -1, params.phi)))
         for which in (0, 1)
     )
     overlap_product = max(
         abs(pairwise_overlap_product(j, k, params) - (1.0 if j == k else 0.0))
-        for j in range(4)
-        for k in range(4)
+        for j in range(4) for k in range(4)
     )
-    basis = multi_sjm_basis(n, params) if n != 2 else multi_two
-    check = gram_residual(basis, rng=rng)
-    reduction = 0.0
-    for ks in basis.index_tuples():
-        for position in range(basis.n):
-            numeric = multi_reduction_vector(basis, ks, position)
-            closed = multi_reduction_closed_form(
-                ks[position // 2], params, basis.n, position
-            )
-            reduction = max(reduction, float(np.abs(numeric - closed).max()))
+    # The closed form depends on (k, position) only: evaluate each once.
+    closed = np.array(
+        [[multi_reduction_closed_form(k, params, n, q) for q in range(n)] for k in range(4)]
+    )
+    positions = np.arange(n)
+    expected = closed[_index_array(pairs)[:, positions // 2], positions]
+    reduction = float(np.abs(multi_reduction_vectors(n, params) - expected).max())
     return [
         ("multi_two_qubit_match_residual", match, 1e-12),
         ("aux_orthogonality_residual", float(aux_orth), 1e-12),
         ("overlap_product_residual", float(overlap_product), 1e-12),
-        ("multi_gram_residual", check.residual, 1e-10),
+        ("multi_gram_residual", multi_gram_bound(n, params), 1e-10),
         ("multi_reduction_residual", reduction, 1e-10),
     ]
-

@@ -1,5 +1,6 @@
 """End-to-end tests driving the command-line interface through ``main``."""
 
+import contextlib
 import importlib
 import io
 import json
@@ -10,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sjm.bases import ejm_aligned
+import sjm.cli
+import sjm.linalg
+import sjm.multiqubit
+from sjm.bases import component_state, ejm_aligned
 from sjm.circuit import build_sjm_circuit, circuit_from_dict
 from sjm.cli import (
     _CHUNK_ROWS,
@@ -97,7 +101,7 @@ def test_verify_default_all_pass(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["all_pass"] is True
-    assert doc["seed"] is None
+    assert "seed" not in doc
     names = [entry["name"] for entry in doc["invariants"]]
     assert "zero_sum_residual" in names
     assert "rotational_symmetry_residual" in names
@@ -219,8 +223,7 @@ def test_multiqubit_four_qubits(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
-    assert doc["gram"]["exhaustive"] is True
-    assert doc["gram"]["seed"] is None
+    assert list(doc["gram"]) == ["residual"]
     assert doc["gram"]["residual"] <= 1e-10
     assert len(doc["reductions"]) == 16 * 4
 
@@ -233,14 +236,32 @@ def test_multiqubit_csv_header(capsys):
     assert lines[1].startswith("00,0,")
 
 
-def test_multiqubit_sampled_gram_records_seed(capsys):
+def test_multiqubit_gram_certifies_every_pair_without_seed(capsys):
+    # n = 8 has 32 640 state pairs; the bound covers all of them, so the
+    # report carries no sampling metadata and no seed.
     code, out = run_cli(capsys, "multiqubit", "--n", "8", "--seed", "5")
     assert code == 0
     doc = json.loads(out)
-    assert doc["gram"]["exhaustive"] is False
-    assert doc["gram"]["pairs_sampled"] == 200
-    assert doc["gram"]["seed"] == 5
+    assert doc["gram"] == {"residual": doc["gram"]["residual"]}
     assert doc["gram"]["residual"] <= 1e-10
+    assert "seed" not in doc
+
+
+@pytest.mark.parametrize("command", ["verify", "multiqubit"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_seed_is_accepted_and_ignored(command, fmt, capsys):
+    base = [command, "--n", "8", "--theta", "0.7", "--phi=-1.3", "--format", fmt]
+    code, plain = run_cli(capsys, *base)
+    assert (code, plain) == run_cli(capsys, *base, "--seed", "5")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "multiqubit"])
+def test_help_says_seed_is_ignored(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--seed SEED accepted and ignored" in " ".join(capsys.readouterr().out.split())
 
 
 def test_repeated_runs_byte_identical(capsys):
@@ -373,3 +394,66 @@ def test_csv_cell_of_rounded_float_is_its_15_digit_form(x):
     # are amplitudes, probabilities, angles and residuals, all far below.)
     assert _cells(_fmt(x)) == [f"{x:.15g}"]
     assert _cells([[_fmt(x), _fmt(-x)]]) == [f"{x:.15g}", f"{-x:.15g}"]
+
+
+def _stdout(argv) -> tuple[int, str]:
+    # capsys is function-scoped, so hypothesis examples capture by hand.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+# Every command at a small size, with the angle flags it reads.
+SMALL_RUNS = st.sampled_from([
+    (["basis", "--n", "2"], ("theta", "phi")), (["basis", "--n", "4"], ("theta", "phi")),
+    (["verify", "--n", "2"], ("theta", "phi")), (["verify", "--n", "4"], ("theta", "phi")),
+    (["circuit"], ("theta", "phi")), (["network", "table"], ("theta", "phi")),
+    (["network", "scan", "--grid-steps", "4"], ("phi",)), (["curve", "--grid-steps", "4"], ()),
+    (["multiqubit", "--n", "2"], ("theta", "phi")), (["multiqubit", "--n", "4"], ("theta", "phi")),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=SMALL_RUNS, theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_identical_invocations_give_identical_bytes(run, theta, phi, fmt):
+    command, flags = run
+    angles = {"theta": theta, "phi": phi}
+    argv = command + [f"--{flag}={angles[flag]!r}" for flag in flags] + ["--format", fmt]
+    first = _stdout(argv)
+    assert first == _stdout(argv)
+    assert first[1]
+
+
+def test_certificate_catches_a_perturbed_component(monkeypatch):
+    # One component state 1e-6 too long: the factored Gram bound and the
+    # factored reductions must both see it.
+    def perturbed(k, slot, params):
+        state = component_state(k, slot, params)
+        return state * (1.0 + 1e-6) if (k, slot) == (2, 1) else state
+
+    monkeypatch.setattr(sjm.multiqubit, "component_state", perturbed)
+    code, out = _stdout(["verify", "--n", "8", "--theta", "0.7", "--phi=-1.3"])
+    assert code == 1
+    doc = json.loads(out)
+    failed = {entry["name"] for entry in doc["invariants"] if not entry["pass"]}
+    assert {"multi_gram_residual", "multi_reduction_residual"} <= failed
+    assert doc["all_pass"] is False
+
+
+def test_verify_and_multiqubit_never_build_the_dense_basis(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense path reached")
+
+    for module in (sjm.multiqubit, sjm.cli):
+        monkeypatch.setattr(module, "multi_sjm_basis", forbidden)
+    # The multiqubit layer's partial traces; the two-qubit invariants in
+    # `analysis` keep theirs, on 4-amplitude states.
+    for module in (sjm.multiqubit, sjm.linalg):
+        monkeypatch.setattr(module, "partial_trace", forbidden)
+    for argv in (["verify", "--n", "12"], ["multiqubit", "--n", "4"],
+                 ["multiqubit", "--n", "12", "--format", "csv"]):
+        code, out = _stdout(argv)
+        assert code == 0
+        assert out

@@ -1,3 +1,5 @@
+import inspect
+import json
 import math
 
 import numpy as np
@@ -5,17 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sjm.multiqubit
 from sjm.analysis import rotation_about_axis, sjm_reduction_closed_form, symmetry_axis
 from sjm.bases import SjmParams, component_state, ejm_aligned, sjm_basis
-from sjm.linalg import gram_matrix, inner, partial_trace
+from sjm.linalg import gram_matrix, inner, orthonormality_residual, partial_trace, tensor
 from sjm.multiqubit import (
-    GramCheck,
     MultiSjmBasis,
     aux_state,
-    gram_residual,
+    multi_gram_bound,
+    multi_invariant_residuals,
     multi_reduction_closed_form,
     multi_reduction_vector,
+    multi_reduction_vectors,
     multi_sjm_basis,
+    pair_matrices,
     pairwise_overlap_product,
 )
 
@@ -118,8 +123,10 @@ def test_basis_size_and_ordering():
 def test_invalid_sizes_rejected():
     params = SjmParams(0.5, 0.1)
     for n in (1, 3, 7, 0, 14, -2):
-        with pytest.raises(ValueError):
-            multi_sjm_basis(n, params)
+        for build in (multi_sjm_basis, multi_gram_bound, multi_reduction_vectors,
+                      multi_invariant_residuals):
+            with pytest.raises(ValueError):
+                build(n, params)
 
 
 def test_state_for_validation():
@@ -130,33 +137,91 @@ def test_state_for_validation():
         basis.state_for((0, 4))
 
 
+def test_pair_matrices_rows_are_the_component_products():
+    params = SjmParams(0.8, -0.6)
+    forward, swapped = pair_matrices(params)
+    assert forward.shape == swapped.shape == (4, 4)
+    for k in range(4):
+        m0, m1 = component_state(k, 0, params), component_state(k, 1, params)
+        assert np.array_equal(forward[k], tensor(m0, m1))
+        assert np.array_equal(swapped[k], tensor(m1, m0))
+
+
+# The dense Gram matrix is the exhaustive oracle of the factored bound: the
+# bound holds for the exact states, and the dense states add their own
+# rounding, a few 1e-16 per entry.
 def test_four_qubit_gram_exhaustive():
-    check = gram_residual(multi_sjm_basis(4, SjmParams(0.7, 0.3)))
-    assert isinstance(check, GramCheck)
-    assert check.exhaustive
-    assert check.pairs_sampled == 0
-    assert check.residual <= 1e-10
+    params = SjmParams(0.7, 0.3)
+    bound = multi_gram_bound(4, params)
+    assert type(bound) is float
+    assert orthonormality_residual(multi_sjm_basis(4, params).states) <= bound + 1e-14
+    assert bound <= 1e-10
 
 
 @pytest.mark.parametrize("theta,phi", [(0.0, 0.5), (0.9, -2.1), (math.pi / 2, math.pi / 4)])
 def test_six_qubit_gram_exhaustive(theta, phi):
-    check = gram_residual(multi_sjm_basis(6, SjmParams(theta, phi)))
-    assert check.exhaustive
-    assert check.residual <= 1e-10
+    params = SjmParams(theta, phi)
+    bound = multi_gram_bound(6, params)
+    assert orthonormality_residual(multi_sjm_basis(6, params).states) <= bound + 1e-14
+    assert bound <= 1e-10
 
 
 def test_eight_qubit_gram_sampled():
-    basis = multi_sjm_basis(8, SjmParams(0.6, 0.2))
-    check = gram_residual(basis, rng=np.random.default_rng(7), pairs=200)
-    assert not check.exhaustive
-    assert check.pairs_sampled == 200
-    assert check.residual <= 1e-10
+    # 200 seeded pairs of the dense n = 8 basis all sit inside the bound.
+    params = SjmParams(0.6, 0.2)
+    states = multi_sjm_basis(8, params).states
+    bound = multi_gram_bound(8, params)
+    rng = np.random.default_rng(7)
+    for j, k in rng.integers(len(states), size=(200, 2)):
+        expected = 1.0 if j == k else 0.0
+        assert abs(inner(states[j], states[k]) - expected) <= bound + 1e-14
 
 
-def test_eight_qubit_gram_requires_rng():
-    basis = multi_sjm_basis(8, SjmParams(0.6, 0.2))
-    with pytest.raises(ValueError):
-        gram_residual(basis)
+def test_gram_bound_needs_no_rng():
+    assert list(inspect.signature(multi_gram_bound).parameters) == ["n", "params"]
+    assert list(inspect.signature(multi_invariant_residuals).parameters) == ["n", "params"]
+    params = SjmParams(0.6, 0.2)
+    assert multi_gram_bound(8, params) == multi_gram_bound(8, params)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12))
+@pytest.mark.parametrize("theta,phi", [(0.0, 0.5), (0.7, -1.3), (math.pi / 2, math.pi / 4)])
+def test_gram_bound_certifies_every_n(n, theta, phi):
+    assert multi_gram_bound(n, SjmParams(theta, phi)) <= 1e-10
+
+
+def test_gram_bound_sees_a_non_orthonormal_basis(monkeypatch):
+    def perturbed(k, slot, params):
+        state = component_state(k, slot, params)
+        return state * (1.0 + 1e-6) if (k, slot) == (1, 0) else state
+
+    monkeypatch.setattr(sjm.multiqubit, "component_state", perturbed)
+    params = SjmParams(0.7, -1.3)
+    dense = orthonormality_residual(multi_sjm_basis(4, params).states)
+    assert dense > 1e-6
+    assert multi_gram_bound(4, params) >= dense - 1e-14
+
+
+def test_invariant_residuals_are_json_floats():
+    residuals = multi_invariant_residuals(8, SjmParams(0.7, -1.3))
+    assert all(type(r) is float and r <= tol for _, r, tol in residuals)
+    json.dumps([r <= tol for _, r, tol in residuals])
+
+
+@settings(max_examples=12, deadline=None)
+@given(theta=THETAS, phi=PHIS, n=st.sampled_from((2, 4, 6, 8)))
+def test_factored_checks_match_dense_oracle(theta, phi, n):
+    params = SjmParams(theta, phi)
+    basis = multi_sjm_basis(n, params)
+    vectors = multi_reduction_vectors(n, params)
+    assert vectors.shape == (4 ** (n // 2), n, 3)
+    dense = np.array([[multi_reduction_vector(basis, ks, q) for q in range(n)]
+                      for ks in basis.index_tuples()])
+    assert np.abs(vectors - dense).max() <= 1e-13
+    bound = multi_gram_bound(n, params)
+    dense_gram = orthonormality_residual(basis.states)
+    assert dense_gram <= bound + 1e-14
+    assert max(bound, dense_gram) <= 1e-10
 
 
 def test_product_structure_at_theta_zero():
@@ -287,6 +352,16 @@ def test_gram_matrix_off_diagonal_structure():
     basis = multi_sjm_basis(4, SjmParams(1.0, -0.3))
     g = gram_matrix(basis.states)
     np.testing.assert_allclose(g, np.eye(16), atol=1e-10)
+
+
+def test_bases_compare_and_hash_by_identity():
+    params = SjmParams(0.5, 0.1)
+    for build in (lambda: sjm_basis(params), lambda: multi_sjm_basis(4, params)):
+        a, b = build(), build()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b}
+        assert a in {a} and b not in {a}
 
 
 def test_basis_dataclass_fields():
