@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -160,6 +161,38 @@ def sjm_basis(params: SjmParams) -> JointBasis:
     )
 
 
+def pair_matrices(params: SjmParams) -> tuple[np.ndarray, np.ndarray]:
+    """The 4x4 pair matrices (F, S): row k of F is m_{k,0} (x) m_{k,1}, row k
+    of S is m_{k,1} (x) m_{k,0}.  They depend on phi only, not on theta."""
+    return _pair_matrices_of(
+        [(component_state(k, 0, params), component_state(k, 1, params)) for k in range(4)]
+    )
+
+
+def _pair_matrices_of(
+    components: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F, S) from the component pairs (m_{k,0}, m_{k,1}), k = 0..3."""
+    return (np.array([tensor(m0, m1) for m0, m1 in components]),
+            np.array([tensor(m1, m0) for m0, m1 in components]))
+
+
+def sjm_basis_sweep(thetas: Sequence[float], phi: float) -> np.ndarray:
+    """The basis at every theta of a grid at one phi, as one array of shape
+    (len(thetas), 4, 4) indexed [theta, state, amplitude]:
+
+        0.5 * ((1 + e^{i theta}) F + (1 - e^{i theta}) S)
+
+    from a single `pair_matrices` call.  Each theta is checked and snapped as
+    `SjmParams` does, and row t equals sjm_basis(SjmParams(thetas[t], phi)).states
+    bit for bit (the tests hold it to that).
+    """
+    snapped = [SjmParams(float(theta), phi).theta for theta in thetas]
+    forward, swapped = pair_matrices(SjmParams(0.0, phi))
+    mix = np.exp(1j * np.array(snapped, dtype=float))[:, None, None]
+    return 0.5 * ((1.0 + mix) * forward + (1.0 - mix) * swapped)
+
+
 def sjm_overlap_closed_form(j: int, k: int, params: SjmParams) -> float:
     """<state_j|state_k> in closed form; real for every parameter choice:
 
@@ -199,14 +232,16 @@ def original_ejm_basis() -> JointBasis:
     )
 
 
-def ejm_family_state(theta: float, m_pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def ejm_family_state(theta: float | np.ndarray,
+                     m_pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Representative state of the one-parameter family interpolating toward
     maximal entanglement:
 
         (1/(2 sqrt 2)) * ((sqrt 3 + e^{i theta}) |m0 m1> +
                           (sqrt 3 - e^{i theta}) |m1 m0>)
 
-    m_pair must be an orthonormal single-qubit pair.
+    m_pair must be an orthonormal single-qubit pair.  A 1-D array of thetas
+    gives the states as rows of one array, shape (len(theta), 4).
     """
     m0, m1 = m_pair
     if (
@@ -215,7 +250,8 @@ def ejm_family_state(theta: float, m_pair: tuple[np.ndarray, np.ndarray]) -> np.
         or abs(inner(m0, m1)) > 1e-10
     ):
         raise ValueError("m_pair must be an orthonormal single-qubit pair")
-    mix = np.exp(1j * theta)
+    # A 1-D theta gives one state per row: mix broadcasts over the amplitudes.
+    mix = np.exp(1j * np.asarray(theta, dtype=float))[..., None]
     root3 = math.sqrt(3.0)
     return ((root3 + mix) * tensor(m0, m1) + (root3 - mix) * tensor(m1, m0)) / (
         2.0 * math.sqrt(2.0)

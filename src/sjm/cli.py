@@ -35,7 +35,7 @@ from .network import TRILOCAL_BOUND, closed_form_probability, joint_distribution
 
 DEFAULT_THETA = math.pi / 2
 DEFAULT_PHI = math.pi / 4
-# Largest --grid-steps: about 10 s of `network scan` on one core.
+# Largest --grid-steps: about 1.5 s of `network scan` on one core.
 GRID_STEPS_CAP = 65536
 # Rows per json.dumps call: amortizes the per-call cost over many small
 # rows, while a chunk of the widest rows (basis, n = 12) stays tens of MB.

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import bloch_vector, multi_reduction_closed_form
-from .bases import _COMPONENT_NORM, _EIGHTH_TURN, SjmParams, component_state, sjm_basis
+from .bases import (_COMPONENT_NORM, _EIGHTH_TURN, SjmParams, _pair_matrices_of, component_state,
+                    pair_matrices, sjm_basis)  # pair_matrices: re-exported, it lives in bases
 from .linalg import PAULIS, inner, partial_trace, tensor
 
 # Dimension 4096 keeps the dense construction interactive; a config
@@ -45,19 +46,22 @@ def aux_state(which: int, sign: int, phi: float) -> np.ndarray:
     )
 
 
+def _components(params: SjmParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The eight component states as pairs (m_{k,0}, m_{k,1}), k = 0..3: every
+    quantity in this module starts from them."""
+    return [(component_state(k, 0, params), component_state(k, 1, params)) for k in range(4)]
+
+
+def _overlap_product(mj: tuple[np.ndarray, ...], mk: tuple[np.ndarray, ...]) -> complex:
+    """<m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}> of two component pairs."""
+    return inner(mj[0], mk[0]) * inner(mj[1], mk[1])
+
+
 def pairwise_overlap_product(j: int, k: int, params: SjmParams) -> complex:
     """<m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}>; equals delta_{jk}, which is what
     makes the n-qubit Gram matrix the identity."""
-    return inner(component_state(j, 0, params), component_state(k, 0, params)) * inner(
-        component_state(j, 1, params), component_state(k, 1, params)
-    )
-
-
-def pair_matrices(params: SjmParams) -> tuple[np.ndarray, np.ndarray]:
-    """The 4x4 pair matrices (F, S): row k of F is m_{k,0} (x) m_{k,1}, row k
-    of S is m_{k,1} (x) m_{k,0}."""
-    m = [(component_state(k, 0, params), component_state(k, 1, params)) for k in range(4)]
-    return np.array([tensor(m0, m1) for m0, m1 in m]), np.array([tensor(m1, m0) for m0, m1 in m])
+    components = _components(params)
+    return _overlap_product(components[j], components[k])
 
 
 def _pairs(n: int) -> int:
@@ -97,7 +101,7 @@ class MultiSjmBasis:
 def multi_sjm_basis(n: int, params: SjmParams) -> MultiSjmBasis:
     """Build the dense n-qubit basis (n even, 2 <= n <= 12)."""
     pairs = _pairs(n)
-    forward, swapped = pair_matrices(params)
+    forward, swapped = _pair_matrices_of(_components(params))
     mix = np.exp(1j * params.theta)
     # Rows are written in place: at n = 12 the array alone is 268 MB.
     states = np.empty((4**pairs, 2**n), dtype=complex)
@@ -116,9 +120,11 @@ def multi_gram_bound(n: int, params: SjmParams) -> float:
                    - 2i sin(theta) (C^{(x)P} - (C^H)^{(x)P}),
     and |X^{(x)P} - Y^{(x)P}| <= P |X - Y| max(|X|, |Y|)^{P-1} in the max-entry
     norm (telescoping; the norm is multiplicative over Kronecker products)."""
-    pairs = _pairs(n)
-    forward, swapped = pair_matrices(params)
-    mix = np.exp(1j * params.theta)
+    return _gram_bound(_pairs(n), params.theta, *_pair_matrices_of(_components(params)))
+
+
+def _gram_bound(pairs: int, theta: float, forward: np.ndarray, swapped: np.ndarray) -> float:
+    mix = np.exp(1j * theta)
     a, b = abs(1.0 + mix) ** 2, abs(1.0 - mix) ** 2
     cross = forward.conj() @ swapped.T
 
@@ -127,7 +133,7 @@ def multi_gram_bound(n: int, params: SjmParams) -> float:
 
     return float(0.25 * (a * power_gap(forward.conj() @ forward.T, np.eye(4))
                          + b * power_gap(swapped.conj() @ swapped.T, np.eye(4)) + abs(a + b - 4.0)
-                         + 2.0 * abs(math.sin(params.theta)) * power_gap(cross, cross.conj().T)))
+                         + 2.0 * abs(math.sin(theta)) * power_gap(cross, cross.conj().T)))
 
 
 def multi_reduction_vectors(n: int, params: SjmParams) -> np.ndarray:
@@ -138,9 +144,12 @@ def multi_reduction_vectors(n: int, params: SjmParams) -> np.ndarray:
     |alpha|^2 w_ff |f_k><f_k| + |beta|^2 w_ss |s_k><s_k| + (alpha conj(beta) w_fs |f_k><s_k|
     + h.c.); a Bloch vector is linear in that operator, so it sums over the terms.
     """
-    pairs = _pairs(n)
-    forward, swapped = pair_matrices(params)
-    mix = np.exp(1j * params.theta)
+    return _reduction_vectors(_pairs(n), params.theta, *_pair_matrices_of(_components(params)))
+
+
+def _reduction_vectors(pairs: int, theta: float, forward: np.ndarray,
+                       swapped: np.ndarray) -> np.ndarray:
+    mix = np.exp(1j * theta)
     alpha, beta = 0.5 * (1.0 + mix), 0.5 * (1.0 - mix)
     ks = _index_array(pairs)
 
@@ -155,7 +164,7 @@ def multi_reduction_vectors(n: int, params: SjmParams) -> np.ndarray:
 
     vectors = (abs(alpha) ** 2 * term(forward, forward) + abs(beta) ** 2 * term(swapped, swapped)
                + 2.0 * alpha * beta.conjugate() * term(forward, swapped)).real
-    return vectors.reshape(4**pairs, n, 3)
+    return vectors.reshape(4**pairs, 2 * pairs, 3)
 
 
 def multi_reduction_vector(basis: MultiSjmBasis, ks: tuple[int, ...], position: int) -> np.ndarray:
@@ -168,9 +177,10 @@ def multi_reduction_vector(basis: MultiSjmBasis, ks: tuple[int, ...], position: 
 
 def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, float, float]]:
     """Every multiqubit invariant at `params` as (name, residual, tolerance),
-    certifying the n-qubit basis from its pair matrices."""
+    certifying the n-qubit basis from its pair matrices, built once."""
     pairs = _pairs(n)
-    forward, swapped = pair_matrices(params)
+    components = _components(params)
+    forward, swapped = _pair_matrices_of(components)
     mix = np.exp(1j * params.theta)
     two_from_pairs = 0.5 * ((1.0 + mix) * forward + (1.0 - mix) * swapped)
     match = float(np.abs(sjm_basis(params).states - two_from_pairs).max())
@@ -179,7 +189,7 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
         for which in (0, 1)
     )
     overlap_product = max(
-        abs(pairwise_overlap_product(j, k, params) - (1.0 if j == k else 0.0))
+        abs(_overlap_product(components[j], components[k]) - (1.0 if j == k else 0.0))
         for j in range(4) for k in range(4)
     )
     # The closed form depends on (k, position) only: evaluate each once.
@@ -188,11 +198,12 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
     )
     positions = np.arange(n)
     expected = closed[_index_array(pairs)[:, positions // 2], positions]
-    reduction = float(np.abs(multi_reduction_vectors(n, params) - expected).max())
+    vectors = _reduction_vectors(pairs, params.theta, forward, swapped)
+    reduction = float(np.abs(vectors - expected).max())
     return [
         ("multi_two_qubit_match_residual", match, 1e-12),
         ("aux_orthogonality_residual", float(aux_orth), 1e-12),
         ("overlap_product_residual", float(overlap_product), 1e-12),
-        ("multi_gram_residual", multi_gram_bound(n, params), 1e-10),
+        ("multi_gram_residual", _gram_bound(pairs, params.theta, forward, swapped), 1e-10),
         ("multi_reduction_residual", reduction, 1e-10),
     ]

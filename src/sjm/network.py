@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import SjmParams, bell_psi_plus, cos_k_pi, sjm_basis
+from .bases import SjmParams, bell_psi_plus, cos_k_pi, sjm_basis, sjm_basis_sweep
 from .linalg import permute_qubits, tensor
 
 # Largest p(a=b=c) any model with three independent local sources can reach.
@@ -31,6 +31,11 @@ def triangle_state() -> np.ndarray:
     """The six-qubit network state, qubits ordered (A1 A2 B1 B2 C1 C2)."""
     pair = bell_psi_plus()
     return permute_qubits(tensor(pair, pair, pair), SOURCE_PERMUTATION)
+
+
+# The network state depends on no parameter: built once, read-only.
+TRIANGLE_STATE = triangle_state()
+TRIANGLE_STATE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ def joint_distribution(params: SjmParams) -> OutcomeDistribution:
     """Brute-force distribution: project the network state onto every
     triple of basis states."""
     m = sjm_basis(params).states  # (4, 4): state index x amplitudes
-    psi = triangle_state().reshape(4, 4, 4)  # party pairs (A1A2), (B1B2), (C1C2)
+    psi = TRIANGLE_STATE.reshape(4, 4, 4)  # party pairs (A1A2), (B1B2), (C1C2)
     amps = np.einsum("ja,kb,lc,abc->jkl", m.conj(), m.conj(), m.conj(), psi)
     return OutcomeDistribution(params=params, probs=np.maximum(np.abs(amps) ** 2, 0.0))
 
@@ -77,7 +82,7 @@ def outcome_amplitude(j: int, k: int, l: int, params: SjmParams) -> complex:
     """<state_j state_k state_l | network state>, computed numerically."""
     states = sjm_basis(params).states
     return complex(
-        np.vdot(tensor(states[j], states[k], states[l]), triangle_state())
+        np.vdot(tensor(states[j], states[k], states[l]), TRIANGLE_STATE)
     )
 
 
@@ -140,16 +145,20 @@ class NonlocalityReport:
 
 
 def nonlocality_scan(thetas, phi: float = math.pi / 4) -> list[NonlocalityReport]:
-    """Evaluate p(a=b=c) along theta at fixed phi and flag bound violations."""
-    reports = []
-    for theta in thetas:
-        p = p_same_outcome(SjmParams(float(theta), phi))
-        reports.append(
-            NonlocalityReport(
-                theta=float(theta),
-                p_same=p,
-                bound=TRILOCAL_BOUND,
-                violates=p > TRILOCAL_BOUND + 1e-12,
-            )
-        )
-    return reports
+    """Evaluate p(a=b=c) along theta at fixed phi and flag bound violations.
+
+    Every basis on the grid comes from one `sjm_basis_sweep` call, and only
+    the diagonal amplitudes <k k k|network> are contracted.  The four
+    probabilities are added left to right, as `OutcomeDistribution.p_same`
+    sums them, so each value equals p_same_outcome at its point bit for bit.
+    """
+    thetas = [float(theta) for theta in thetas]
+    m = sjm_basis_sweep(thetas, phi).conj()
+    amps = np.einsum("tka,tkb,tkc,abc->tk", m, m, m, TRIANGLE_STATE.reshape(4, 4, 4))
+    probs = np.maximum(np.abs(amps) ** 2, 0.0)
+    p_same = ((probs[:, 0] + probs[:, 1]) + probs[:, 2]) + probs[:, 3]
+    return [
+        NonlocalityReport(theta=theta, p_same=p, bound=TRILOCAL_BOUND,
+                          violates=p > TRILOCAL_BOUND + 1e-12)
+        for theta, p in zip(thetas, p_same.tolist())
+    ]

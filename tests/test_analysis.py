@@ -224,3 +224,48 @@ def test_concurrence_curve_matches_closed_forms(thetas):
         assert abs(value - math.sin(theta) / 2.0) <= 1e-10
     for theta, value in concurrence_curve("ejm-family", thetas):
         assert abs(value - 0.5 * math.sqrt(1.0 + 3.0 * math.sin(theta) ** 2)) <= 1e-10
+
+
+def _determinant_route(state):
+    """2 |m00 m11 - m01 m10| in numpy's scalar complex arithmetic."""
+    m = state.reshape(2, 2)
+    return float(2.0 * abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
+
+
+# Grids that hold both endpoints; the sjm family snaps pi/2 + 5e-13 onto pi/2.
+CURVE_THETAS = st.one_of(
+    st.lists(st.one_of(THETAS, st.just(math.pi / 2 + 5e-13)), max_size=30).map(
+        lambda xs: [0.0, *xs, math.pi / 2]),
+    st.integers(1, 200).map(lambda k: np.linspace(0.0, math.pi / 2, k + 1)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thetas=CURVE_THETAS)
+def test_concurrence_curve_equals_pointwise_concurrence_bit_for_bit(thetas):
+    pair = (ket("0"), ket("1"))
+    sjm_rows = concurrence_curve("sjm", thetas)
+    ejm_rows = concurrence_curve("ejm-family", thetas)
+    assert [t for t, _ in sjm_rows] == [t for t, _ in ejm_rows] == [float(t) for t in thetas]
+    for theta, (_, c_sjm), (_, c_ejm) in zip(thetas, sjm_rows, ejm_rows):
+        state = sjm_basis(SjmParams(theta, 0.0)).states[0]
+        assert type(c_sjm) is float and c_sjm == concurrence(state) == _determinant_route(state)
+        state = ejm_family_state(theta, pair)
+        assert type(c_ejm) is float and c_ejm == concurrence(state) == _determinant_route(state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.tuples(THETAS, PHIS), min_size=1, max_size=12))
+def test_stacked_concurrence_equals_single_calls_bit_for_bit(points):
+    states = np.array([sjm_basis(SjmParams(t, p)).states for t, p in points])  # (K, 4, 4)
+    values = concurrence(states)
+    assert values.shape == (len(points), 4)
+    for value_row, state_row in zip(values, states):
+        for value, state in zip(value_row.tolist(), state_row):
+            assert value == concurrence(state) == _determinant_route(state)
+
+
+def test_concurrence_rejects_a_non_two_qubit_stack():
+    for bad in (np.zeros((3, 8), dtype=complex), np.zeros(()), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError):
+            concurrence(bad)

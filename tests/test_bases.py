@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sjm.multiqubit
 from sjm.bases import (
     EJM_PHI,
     PHI_OFFSETS,
@@ -16,7 +19,9 @@ from sjm.bases import (
     ejm_family_state,
     original_ejm_basis,
     original_ejm_state,
+    pair_matrices,
     sjm_basis,
+    sjm_basis_sweep,
     sjm_overlap_closed_form,
     sjm_state,
     sjm_state_closed_form,
@@ -244,3 +249,44 @@ def test_bell_psi_plus():
     np.testing.assert_allclose(state, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-15)
     for qubit in (0, 1):
         np.testing.assert_allclose(partial_trace(state, qubit), np.eye(2) / 2, atol=1e-12)
+
+
+# Grids of thetas that always hold both endpoints; pi/2 + 5e-13 is snapped
+# back onto pi/2 by SjmParams.
+SWEEP_THETAS = st.lists(
+    st.one_of(st.floats(0.0, math.pi / 2), st.just(math.pi / 2 + 5e-13)), max_size=40
+).map(lambda xs: [0.0, *xs, math.pi / 2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(thetas=SWEEP_THETAS, phi=st.floats(-math.pi, math.pi))
+def test_basis_sweep_equals_each_basis_bit_for_bit(thetas, phi):
+    sweep = sjm_basis_sweep(thetas, phi)
+    assert sweep.shape == (len(thetas), 4, 4)
+    expected = np.array([sjm_basis(SjmParams(theta, phi)).states for theta in thetas])
+    assert np.array_equal(sweep, expected)
+
+
+def test_basis_sweep_checks_every_angle():
+    assert sjm_basis_sweep([], 0.3).shape == (0, 4, 4)
+    for thetas, phi in (([0.1, math.pi / 2 + 1e-9], 0.0), ([-1e-9], 0.0), ([0.1], 3.2)):
+        with pytest.raises(ValueError):
+            sjm_basis_sweep(thetas, phi)
+
+
+def test_pair_matrices_are_one_function_reexported():
+    assert sjm.multiqubit.pair_matrices is pair_matrices
+    forward, swapped = pair_matrices(SjmParams(0.0, 0.4))
+    # Neither matrix depends on theta.
+    for other in pair_matrices(SjmParams(1.2, 0.4)), pair_matrices(SjmParams(math.pi / 2, 0.4)):
+        assert np.array_equal(other[0], forward) and np.array_equal(other[1], swapped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thetas=st.lists(st.floats(-10.0, 10.0), max_size=20))
+def test_ejm_family_state_on_a_theta_array_is_the_stack_of_single_states(thetas):
+    pair = (ket("0"), ket("1"))
+    stacked = ejm_family_state(np.array(thetas, dtype=float), pair)
+    assert stacked.shape == (len(thetas), 4)
+    for row, theta in zip(stacked, thetas):
+        assert np.array_equal(row, ejm_family_state(theta, pair))

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sjm.analysis
+import sjm.bases
 import sjm.cli
 import sjm.linalg
 import sjm.multiqubit
+import sjm.network
 from sjm.bases import component_state, ejm_aligned
 from sjm.circuit import build_sjm_circuit, circuit_from_dict
 from sjm.cli import (
@@ -340,6 +343,35 @@ def test_grid_steps_cap(capsys):
             main(argv + ["--grid-steps", str(GRID_STEPS_CAP + 1)])
         assert exc.value.code == 2
         assert f"grid-steps must be in [1, {GRID_STEPS_CAP}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["network", "scan", "--phi=-2.2"], GRID_STEPS_CAP),
+    (["curve"], GRID_STEPS_CAP + 1),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_grid_steps_cap_runs_to_completion(argv, rows, fmt):
+    code, out = _stdout(argv + ["--grid-steps", str(GRID_STEPS_CAP), "--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["grid_steps"] == GRID_STEPS_CAP and len(doc["points"]) == rows
+    else:
+        assert out.count("\n") == rows + 1
+
+
+def test_sweeps_never_build_a_basis_or_network_state_per_theta(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-theta construction reached")
+
+    for module in (sjm.bases, sjm.network, sjm.analysis):
+        monkeypatch.setattr(module, "sjm_basis", forbidden)
+    monkeypatch.setattr(sjm.network, "triangle_state", forbidden)
+    for argv in (["network", "scan", "--grid-steps", "64", "--phi=0.3"],
+                 ["curve", "--grid-steps", "64", "--format", "csv"]):
+        code, out = _stdout(argv)
+        assert code == 0
+        assert out
 
 
 def test_benchmark_argv_uses_only_accepted_flags(monkeypatch):

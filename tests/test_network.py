@@ -11,6 +11,7 @@ from sjm.bases import SjmParams, bell_psi_plus, ejm_aligned, sjm_basis
 from sjm.linalg import partial_trace, permute_qubits, tensor
 from sjm.network import (
     SOURCE_PERMUTATION,
+    TRIANGLE_STATE,
     TRILOCAL_BOUND,
     OutcomeDistribution,
     amplitude_closed_form,
@@ -200,3 +201,26 @@ def test_distribution_validation():
         OutcomeDistribution(params, np.zeros((4, 4)))
     with pytest.raises(ValueError):
         OutcomeDistribution(params, np.full((4, 4, 4), -0.1))
+
+
+def test_network_state_constant_is_the_constructed_state_read_only():
+    assert np.array_equal(TRIANGLE_STATE, triangle_state())
+    assert not TRIANGLE_STATE.flags.writeable
+
+
+# Random grids that hold both endpoints, or evenly spaced ones as the CLI uses.
+SCAN_THETAS = st.one_of(
+    st.lists(st.floats(0.0, math.pi / 2), max_size=30).map(lambda xs: [0.0, *xs, math.pi / 2]),
+    st.integers(1, 200).map(lambda k: np.linspace(0.0, math.pi / 2, k)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thetas=SCAN_THETAS, phi=st.floats(-math.pi, math.pi))
+def test_scan_equals_pointwise_p_same_bit_for_bit(thetas, phi):
+    reports = nonlocality_scan(thetas, phi)
+    assert len(reports) == len(thetas)
+    for report, theta in zip(reports, thetas):
+        assert report.theta == float(theta)
+        assert type(report.p_same) is float
+        assert report.p_same == p_same_outcome(SjmParams(float(theta), phi))
