@@ -117,11 +117,6 @@ def multi_reduction_closed_form(k: int, params: SjmParams, n: int, position: int
     )
 
 
-def sjm_reduction_closed_form(k: int, params: SjmParams, qubit: int) -> np.ndarray:
-    """Closed-form Bloch vector of two-qubit basis state k's marginal on qubit 0 or 1."""
-    return multi_reduction_closed_form(k, params, 2, qubit)
-
-
 def symmetry_axis(k: int, params: SjmParams) -> np.ndarray:
     """Unit vector (cos phi_k, sin phi_k, 0); a pi rotation about it maps the
     first marginal's Bloch vector of state k onto the second's."""
@@ -219,7 +214,7 @@ def invariant_residuals(params: SjmParams) -> list[tuple[str, float, float]]:
         for s in basis.states
     )
     reduction = max(
-        float(np.abs(reduction_vector(s, q) - sjm_reduction_closed_form(k, params, q)).max())
+        float(np.abs(reduction_vector(s, q) - multi_reduction_closed_form(k, params, 2, q)).max())
         for k, s in enumerate(basis.states) for q in (0, 1)
     )
     aligned = ejm_aligned()

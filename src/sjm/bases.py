@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -76,19 +75,14 @@ def ejm_aligned() -> SjmParams:
     return SjmParams(theta=math.pi / 2, phi=math.pi / 4)
 
 
-class BasisLabel(Enum):
-    SJM = "sjm"
-    ORIGINAL_EJM = "original-ejm"
-
-
 @dataclass(frozen=True, eq=False)
 class JointBasis:
-    """An ordered set of two-qubit states meant to form a measurement basis,
-    held as one read-only complex128 array of shape (count, 4), a state per row.
-    Equality and hashing are by identity."""
+    """The basis states on n qubits (n even), ordered lexicographically by
+    index tuple (k_1, ..., k_{n/2}), as one read-only complex128 array of
+    shape (4**(n//2), 2**n), a state per row.  `params` is None for the
+    original elegant joint measurement.  Equality and hashing are by identity."""
 
     states: np.ndarray
-    label: BasisLabel
     params: SjmParams | None = None
 
     def __post_init__(self) -> None:
@@ -96,6 +90,23 @@ class JointBasis:
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def n(self) -> int:
+        return self.states.shape[1].bit_length() - 1
+
+    def index_tuples(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, _index_array(self.n // 2).tolist()))
+
+    def state_for(self, ks: tuple[int, ...]) -> np.ndarray:
+        if len(ks) != self.n // 2 or any(k not in (0, 1, 2, 3) for k in ks):
+            raise ValueError(f"bad index tuple {ks} for n={self.n}")
+        return self.states[np.ravel_multi_index(ks, (4,) * len(ks))]
+
+
+def _index_array(pairs: int) -> np.ndarray:
+    """Every index tuple in lexicographic (state) order, shape (4**pairs, pairs)."""
+    return np.indices((4,) * pairs).reshape(pairs, -1).T
 
 
 def direction_state(k: int, sign: int, params: SjmParams) -> np.ndarray:
@@ -129,7 +140,8 @@ def component_state(k: int, slot: int, params: SjmParams) -> np.ndarray:
 
 
 def sjm_state(k: int, params: SjmParams) -> np.ndarray:
-    """Basis state k as the symmetrized product of its component pair."""
+    """Basis state k as the symmetrized product of its component pair, built
+    on its own: the oracle `verify` and the tests hold the pair-matrix bases to."""
     mix = np.exp(1j * params.theta)
     m0 = component_state(k, 0, params)
     m1 = component_state(k, 1, params)
@@ -152,21 +164,29 @@ def sjm_state_closed_form(k: int, params: SjmParams) -> np.ndarray:
     return 0.5 * np.array([1.0 / phase, -r_minus, -r_plus, phase], dtype=complex)
 
 
+def _symmetrize(theta: float | np.ndarray, forward: np.ndarray,
+                swapped: np.ndarray) -> np.ndarray:
+    """0.5 * ((1 + e^{i theta}) F + (1 - e^{i theta}) S): the basis states from
+    their two product terms; an array of thetas broadcasts against F and S."""
+    mix = np.exp(1j * theta)
+    return 0.5 * ((1.0 + mix) * forward + (1.0 - mix) * swapped)
+
+
 def sjm_basis(params: SjmParams) -> JointBasis:
     """The four-state symmetric joint-measurement basis at the given angles."""
-    return JointBasis(
-        states=np.array([sjm_state(k, params) for k in range(4)]),
-        label=BasisLabel.SJM,
-        params=params,
-    )
+    return JointBasis(_symmetrize(params.theta, *pair_matrices(params)), params)
+
+
+def _components(params: SjmParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The eight component states as pairs (m_{k,0}, m_{k,1}), k = 0..3: every
+    basis and every certificate starts from them."""
+    return [(component_state(k, 0, params), component_state(k, 1, params)) for k in range(4)]
 
 
 def pair_matrices(params: SjmParams) -> tuple[np.ndarray, np.ndarray]:
     """The 4x4 pair matrices (F, S): row k of F is m_{k,0} (x) m_{k,1}, row k
     of S is m_{k,1} (x) m_{k,0}.  They depend on phi only, not on theta."""
-    return _pair_matrices_of(
-        [(component_state(k, 0, params), component_state(k, 1, params)) for k in range(4)]
-    )
+    return _pair_matrices_of(_components(params))
 
 
 def _pair_matrices_of(
@@ -179,18 +199,14 @@ def _pair_matrices_of(
 
 def sjm_basis_sweep(thetas: Sequence[float], phi: float) -> np.ndarray:
     """The basis at every theta of a grid at one phi, as one array of shape
-    (len(thetas), 4, 4) indexed [theta, state, amplitude]:
-
-        0.5 * ((1 + e^{i theta}) F + (1 - e^{i theta}) S)
-
-    from a single `pair_matrices` call.  Each theta is checked and snapped as
-    `SjmParams` does, and row t equals sjm_basis(SjmParams(thetas[t], phi)).states
-    bit for bit (the tests hold it to that).
+    (len(thetas), 4, 4) indexed [theta, state, amplitude], from a single
+    `pair_matrices` call.  Each theta is checked and snapped as `SjmParams`
+    does, and row t equals sjm_basis(SjmParams(thetas[t], phi)).states bit
+    for bit (the tests hold it to that).
     """
     snapped = [SjmParams(float(theta), phi).theta for theta in thetas]
-    forward, swapped = pair_matrices(SjmParams(0.0, phi))
-    mix = np.exp(1j * np.array(snapped, dtype=float))[:, None, None]
-    return 0.5 * ((1.0 + mix) * forward + (1.0 - mix) * swapped)
+    column = np.array(snapped, dtype=float)[:, None, None]  # broadcasts over [state, amplitude]
+    return _symmetrize(column, *pair_matrices(SjmParams(0.0, phi)))
 
 
 def sjm_overlap_closed_form(j: int, k: int, params: SjmParams) -> float:
@@ -225,11 +241,7 @@ def original_ejm_state(j: int) -> np.ndarray:
 
 def original_ejm_basis() -> JointBasis:
     """The original elegant joint measurement (iso-entangled, concurrence 1/2)."""
-    return JointBasis(
-        states=np.array([original_ejm_state(j) for j in range(4)]),
-        label=BasisLabel.ORIGINAL_EJM,
-        params=None,
-    )
+    return JointBasis(np.array([original_ejm_state(j) for j in range(4)]))
 
 
 def ejm_family_state(theta: float | np.ndarray,

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .analysis import concurrence_curve, invariant_residuals
-from .bases import SjmParams, _fmt, sjm_basis
+from .bases import SjmParams, _fmt, _index_array, sjm_basis
 from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
 from .multiqubit import (
     multi_gram_bound, multi_invariant_residuals, multi_reduction_vectors, multi_sjm_basis,
@@ -107,7 +107,7 @@ def _angle(value: float | None, frac: str | None, flag: str, default: float) -> 
     if frac is not None:
         try:
             return float(Fraction(frac)) * math.pi
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"cannot parse --{flag}-frac {frac!r}: {exc}") from exc
     if value is not None:
         return float(value)
@@ -290,8 +290,9 @@ def cmd_multiqubit(cfg: RunConfig) -> Table:
     residual = multi_gram_bound(cfg.n, cfg.params)
     ok = residual <= 1e-10
     vectors = multi_reduction_vectors(cfg.n, cfg.params).tolist()
-    rows = ({"index": list(ks), "position": position, "x": _fmt(x), "y": _fmt(y), "z": _fmt(z)}
-            for ks, state in zip(itertools.product(range(4), repeat=cfg.n // 2), vectors)
+    # Each state's index list is made as its rows stream out, not all up front.
+    rows = ({"index": ks, "position": position, "x": _fmt(x), "y": _fmt(y), "z": _fmt(z)}
+            for ks, state in zip(map(np.ndarray.tolist, _index_array(cfg.n // 2)), vectors)
             for position, (x, y, z) in enumerate(state))
     gram = {"residual": _fmt(residual)}
     return Table(

@@ -10,15 +10,14 @@ from the 4x4 pair matrices alone; only `multi_sjm_basis` is dense (2^n).
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import bloch_vector, multi_reduction_closed_form
-from .bases import (_COMPONENT_NORM, _EIGHTH_TURN, SjmParams, _pair_matrices_of, component_state,
-                    pair_matrices, sjm_basis)  # pair_matrices: re-exported, it lives in bases
+from .bases import (_COMPONENT_NORM, _EIGHTH_TURN, JointBasis, SjmParams, _components,
+                    _index_array, _pair_matrices_of, _symmetrize, pair_matrices,
+                    sjm_state)  # pair_matrices: re-exported, it lives in bases
 from .linalg import PAULIS, inner, partial_trace, tensor
 
 # Dimension 4096 keeps the dense construction interactive; a config
@@ -46,12 +45,6 @@ def aux_state(which: int, sign: int, phi: float) -> np.ndarray:
     )
 
 
-def _components(params: SjmParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The eight component states as pairs (m_{k,0}, m_{k,1}), k = 0..3: every
-    quantity in this module starts from them."""
-    return [(component_state(k, 0, params), component_state(k, 1, params)) for k in range(4)]
-
-
 def _overlap_product(mj: tuple[np.ndarray, ...], mk: tuple[np.ndarray, ...]) -> complex:
     """<m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}> of two component pairs."""
     return inner(mj[0], mk[0]) * inner(mj[1], mk[1])
@@ -71,45 +64,17 @@ def _pairs(n: int) -> int:
     return n // 2
 
 
-def _index_array(pair_count: int) -> np.ndarray:
-    """Every index tuple in lexicographic (state) order, shape (4**pair_count, pair_count)."""
-    return np.indices((4,) * pair_count).reshape(pair_count, -1).T
-
-
-@dataclass(frozen=True, eq=False)
-class MultiSjmBasis:
-    """The 4^{n/2} basis states, ordered lexicographically by index tuple, as
-    one read-only complex128 array of shape (4**(n//2), 2**n), a state per row.
-    Equality and hashing are by identity."""
-
-    n: int
-    params: SjmParams
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.states.flags.writeable = False
-
-    def index_tuples(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(range(4), repeat=self.n // 2))
-
-    def state_for(self, ks: tuple[int, ...]) -> np.ndarray:
-        if len(ks) != self.n // 2 or any(k not in (0, 1, 2, 3) for k in ks):
-            raise ValueError(f"bad index tuple {ks} for n={self.n}")
-        return self.states[np.ravel_multi_index(ks, (4,) * len(ks))]
-
-
-def multi_sjm_basis(n: int, params: SjmParams) -> MultiSjmBasis:
+def multi_sjm_basis(n: int, params: SjmParams) -> JointBasis:
     """Build the dense n-qubit basis (n even, 2 <= n <= 12)."""
     pairs = _pairs(n)
-    forward, swapped = _pair_matrices_of(_components(params))
-    mix = np.exp(1j * params.theta)
-    # Rows are written in place: at n = 12 the array alone is 268 MB.
+    forward, swapped = pair_matrices(params)
+    # Rows are written in place: at n = 12 the array alone is 268 MB, and a
+    # Kronecker power of F and S would hold several arrays of that size.
     states = np.empty((4**pairs, 2**n), dtype=complex)
-    for row, ks in enumerate(itertools.product(range(4), repeat=pairs)):
-        first = tensor(*(forward[k] for k in ks))
-        second = tensor(*(swapped[k] for k in ks))
-        states[row] = 0.5 * ((1.0 + mix) * first + (1.0 - mix) * second)
-    return MultiSjmBasis(n=n, params=params, states=states)
+    for row, ks in enumerate(_index_array(pairs).tolist()):
+        states[row] = _symmetrize(params.theta, tensor(*(forward[k] for k in ks)),
+                                  tensor(*(swapped[k] for k in ks)))
+    return JointBasis(states, params)
 
 
 def multi_gram_bound(n: int, params: SjmParams) -> float:
@@ -120,7 +85,7 @@ def multi_gram_bound(n: int, params: SjmParams) -> float:
                    - 2i sin(theta) (C^{(x)P} - (C^H)^{(x)P}),
     and |X^{(x)P} - Y^{(x)P}| <= P |X - Y| max(|X|, |Y|)^{P-1} in the max-entry
     norm (telescoping; the norm is multiplicative over Kronecker products)."""
-    return _gram_bound(_pairs(n), params.theta, *_pair_matrices_of(_components(params)))
+    return _gram_bound(_pairs(n), params.theta, *pair_matrices(params))
 
 
 def _gram_bound(pairs: int, theta: float, forward: np.ndarray, swapped: np.ndarray) -> float:
@@ -144,7 +109,7 @@ def multi_reduction_vectors(n: int, params: SjmParams) -> np.ndarray:
     |alpha|^2 w_ff |f_k><f_k| + |beta|^2 w_ss |s_k><s_k| + (alpha conj(beta) w_fs |f_k><s_k|
     + h.c.); a Bloch vector is linear in that operator, so it sums over the terms.
     """
-    return _reduction_vectors(_pairs(n), params.theta, *_pair_matrices_of(_components(params)))
+    return _reduction_vectors(_pairs(n), params.theta, *pair_matrices(params))
 
 
 def _reduction_vectors(pairs: int, theta: float, forward: np.ndarray,
@@ -167,7 +132,7 @@ def _reduction_vectors(pairs: int, theta: float, forward: np.ndarray,
     return vectors.reshape(4**pairs, 2 * pairs, 3)
 
 
-def multi_reduction_vector(basis: MultiSjmBasis, ks: tuple[int, ...], position: int) -> np.ndarray:
+def multi_reduction_vector(basis: JointBasis, ks: tuple[int, ...], position: int) -> np.ndarray:
     """Bloch vector of one reduction of the dense state (qubit position 0-based),
     by partial trace: the independent oracle of `multi_reduction_vectors`."""
     if not 0 <= position < basis.n:
@@ -181,9 +146,8 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
     pairs = _pairs(n)
     components = _components(params)
     forward, swapped = _pair_matrices_of(components)
-    mix = np.exp(1j * params.theta)
-    two_from_pairs = 0.5 * ((1.0 + mix) * forward + (1.0 - mix) * swapped)
-    match = float(np.abs(sjm_basis(params).states - two_from_pairs).max())
+    two_from_states = np.array([sjm_state(k, params) for k in range(4)])
+    match = float(np.abs(_symmetrize(params.theta, forward, swapped) - two_from_states).max())
     aux_orth = max(
         abs(inner(aux_state(which, +1, params.phi), aux_state(which, -1, params.phi)))
         for which in (0, 1)

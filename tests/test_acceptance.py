@@ -17,9 +17,9 @@ from sjm.analysis import (
     concurrence,
     concurrence_curve,
     ejm_family_concurrence_closed_form,
+    multi_reduction_closed_form,
     reduction_vector,
     rotation_about_axis,
-    sjm_reduction_closed_form,
     symmetry_axis,
     zero_sum_residual,
 )
@@ -118,7 +118,7 @@ def test_criterion_3_reductions():
         worst = max(
             float(
                 np.abs(
-                    reduction_vector(s, q) - sjm_reduction_closed_form(k, params, q)
+                    reduction_vector(s, q) - multi_reduction_closed_form(k, params, 2, q)
                 ).max()
             )
             for k, s in enumerate(basis.states)

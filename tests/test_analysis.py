@@ -13,11 +13,11 @@ from sjm.analysis import (
     concurrence,
     concurrence_curve,
     ejm_family_concurrence_closed_form,
+    multi_reduction_closed_form,
     reduction_vector,
     rotation_about_axis,
     rotation_symmetry_residual,
     sjm_concurrence_closed_form,
-    sjm_reduction_closed_form,
     symmetry_axis,
     zero_sum_residual,
 )
@@ -131,7 +131,7 @@ def test_reduction_vectors_match_closed_form(theta, phi):
         for qubit in (0, 1):
             np.testing.assert_allclose(
                 reduction_vector(state, qubit),
-                sjm_reduction_closed_form(k, p, qubit),
+                multi_reduction_closed_form(k, p, 2, qubit),
                 atol=1e-10,
             )
 

@@ -9,7 +9,7 @@ import sjm.multiqubit
 from sjm.bases import (
     EJM_PHI,
     PHI_OFFSETS,
-    BasisLabel,
+    JointBasis,
     SjmParams,
     bell_psi_plus,
     component_state,
@@ -151,7 +151,7 @@ def test_closed_form_frozen_at_aligned_point():
 @pytest.mark.parametrize("theta,phi", GRID)
 def test_basis_orthonormal_and_complete(theta, phi):
     basis = sjm_basis(SjmParams(theta, phi))
-    assert basis.label is BasisLabel.SJM
+    assert basis.params == SjmParams(theta, phi)
     assert orthonormality_residual(basis.states) <= 1e-10
     assert completeness_residual(basis.states) <= 1e-10
 
@@ -179,17 +179,25 @@ def test_theta_zero_states_are_products():
 
 def test_original_ejm_orthonormal():
     basis = original_ejm_basis()
-    assert basis.label is BasisLabel.ORIGINAL_EJM
+    assert basis.params is None
     assert orthonormality_residual(basis.states) <= 1e-10
     assert completeness_residual(basis.states) <= 1e-10
 
 
-@pytest.mark.parametrize("basis", [sjm_basis(SjmParams(0.5, 0.1)), original_ejm_basis()])
+@pytest.mark.parametrize("basis", [
+    sjm_basis(SjmParams(0.5, 0.1)), original_ejm_basis(),
+    *(sjm.multiqubit.multi_sjm_basis(n, SjmParams(0.5, 0.1)) for n in (2, 4, 6)),
+])
 def test_basis_states_are_one_read_only_array(basis):
-    assert basis.states.shape == (4, 4)
+    assert isinstance(basis, JointBasis)
+    assert basis.n in (2, 4, 6)
+    count = 4 ** (basis.n // 2)
+    assert basis.states.shape == (count, 2**basis.n)
     assert basis.states.dtype == np.complex128
     assert basis.states.flags.writeable is False
-    assert len(basis) == 4
+    assert len(basis) == count
+    with pytest.raises(ValueError):
+        basis.states[0, 0] = 0.0
 
 
 def test_original_ejm_frozen_first_state():

@@ -5,6 +5,11 @@ import importlib
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+import traceback
 from pathlib import Path
 
 import pytest
@@ -310,6 +315,75 @@ def test_invalid_input_never_touches_output(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == "kept\n"
 
 
+# Every command that reads --theta/--phi and their -frac forms.
+ANGLE_COMMANDS = (["basis"], ["verify"], ["circuit"], ["network", "table"], ["network", "scan"],
+                  ["multiqubit"])
+
+
+def _exit_and_stderr(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process run, as the interpreter gives
+    them: an exception escaping `main` is a traceback and exit 1."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", ANGLE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("flag", ["theta-frac", "phi-frac"])
+@pytest.mark.parametrize("value", ["1e400", "-1e400"])
+def test_overflowing_angle_fraction_exits_2(command, flag, value):
+    # float(Fraction("1e400")) raises OverflowError, not ValueError.
+    code, err = _exit_and_stderr([*command, f"--{flag}={value}"])
+    assert code == 2
+    lines = err.splitlines()
+    assert lines[-1].startswith(f"sjm: error: cannot parse --{flag}")
+    assert sum(line.startswith("sjm: error:") for line in lines) == 1
+    assert "Traceback" not in err
+
+
+def test_overflowing_angle_fraction_exits_2_from_the_shell():
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sjm.cli", "verify", "--theta-frac=1e400"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("sjm: error: cannot parse --theta-frac")
+    assert "Traceback" not in proc.stderr
+
+
+ERROR_LINE = re.compile(r"sjm( [a-z]+)*: error: ")
+ANGLE_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "1/0", "-0",
+                     "0/5", "1/3", "-1/4", "1e308", "9" * 4000, "-" + "9" * 4000, "5" * 5000,
+                     "-" + "5" * 5000, "", "pi", "1/2/3"]),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(ANGLE_COMMANDS),
+       flag=st.sampled_from(["theta", "theta-frac", "phi", "phi-frac"]), value=ANGLE_VALUES)
+def test_angle_flags_exit_0_or_2_with_one_error_line(command, flag, value):
+    code, err = _exit_and_stderr([*command, f"--{flag}={value}"])
+    assert code in (0, 2)
+    if code == 2:
+        # A value the flag's type rejects is reported by the subcommand's
+        # parser, as "sjm basis: error: ...".
+        error_lines = [line for line in err.splitlines() if ERROR_LINE.match(line)]
+        assert len(error_lines) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -465,7 +539,7 @@ def test_certificate_catches_a_perturbed_component(monkeypatch):
         state = component_state(k, slot, params)
         return state * (1.0 + 1e-6) if (k, slot) == (2, 1) else state
 
-    monkeypatch.setattr(sjm.multiqubit, "component_state", perturbed)
+    monkeypatch.setattr(sjm.bases, "component_state", perturbed)
     code, out = _stdout(["verify", "--n", "8", "--theta", "0.7", "--phi=-1.3"])
     assert code == 1
     doc = json.loads(out)

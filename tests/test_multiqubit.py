@@ -1,18 +1,20 @@
 import inspect
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sjm.bases
 import sjm.multiqubit
-from sjm.analysis import rotation_about_axis, sjm_reduction_closed_form, symmetry_axis
-from sjm.bases import SjmParams, component_state, ejm_aligned, sjm_basis
+from sjm.analysis import rotation_about_axis, symmetry_axis
+from sjm.bases import (JointBasis, SjmParams, component_state, ejm_aligned, original_ejm_basis,
+                       sjm_basis, sjm_state)
 from sjm.linalg import gram_matrix, inner, orthonormality_residual, partial_trace, tensor
 from sjm.multiqubit import (
-    MultiSjmBasis,
     aux_state,
     multi_gram_bound,
     multi_invariant_residuals,
@@ -97,6 +99,25 @@ def test_two_qubit_case_is_bit_equal_to_joint_basis(theta, phi):
     assert np.array_equal(multi_sjm_basis(2, params).states, sjm_basis(params).states)
 
 
+@settings(max_examples=50, deadline=None)
+@given(theta=st.one_of(st.sampled_from((0.0, math.pi / 2)), THETAS),
+       phi=st.one_of(st.sampled_from((-math.pi, math.pi)), PHIS))
+@example(theta=0.0, phi=-math.pi)
+@example(theta=0.0, phi=math.pi)
+@example(theta=math.pi / 2, phi=-math.pi)
+@example(theta=math.pi / 2, phi=math.pi)
+def test_pair_matrix_bases_equal_the_per_state_oracle(theta, phi):
+    # Both constructors go through the pair matrices; `sjm_state` builds each
+    # state from its own component pair.  Exact equality is what keeps
+    # `multi_two_qubit_match_residual` at 0.
+    params = SjmParams(theta, phi)
+    oracle = np.array([sjm_state(k, params) for k in range(4)])
+    assert np.array_equal(sjm_basis(params).states, oracle)
+    assert np.array_equal(multi_sjm_basis(2, params).states, oracle)
+    match = {name: r for name, r, _ in multi_invariant_residuals(2, params)}
+    assert match["multi_two_qubit_match_residual"] == 0.0
+
+
 @pytest.mark.parametrize("n", (2, 4, 6))
 def test_states_are_one_read_only_array(n):
     states = multi_sjm_basis(n, SjmParams(0.5, 0.1)).states
@@ -108,16 +129,27 @@ def test_states_are_one_read_only_array(n):
 
 
 def test_basis_size_and_ordering():
-    basis = multi_sjm_basis(4, SjmParams(0.5, 0.1))
-    assert basis.n == 4
-    assert len(basis.states) == 16
-    tuples = basis.index_tuples()
-    assert tuples == sorted(tuples)
-    assert tuples[0] == (0, 0)
-    assert tuples[-1] == (3, 3)
-    # state_for agrees with positional lookup.
-    for flat, ks in enumerate(tuples):
-        np.testing.assert_allclose(basis.state_for(ks), basis.states[flat], atol=0)
+    # One JointBasis holds every basis, the two-qubit ones included.
+    params = SjmParams(0.5, 0.1)
+    bases = [(2, sjm_basis(params)), (2, original_ejm_basis()),
+             *((n, multi_sjm_basis(n, params)) for n in (2, 4, 6))]
+    for n, basis in bases:
+        pairs = n // 2
+        assert isinstance(basis, JointBasis)
+        assert basis.n == n
+        assert len(basis.states) == 4**pairs
+        tuples = basis.index_tuples()
+        assert tuples == sorted(tuples)
+        assert tuples == list(itertools.product(range(4), repeat=pairs))
+        assert tuples[0] == (0,) * pairs
+        assert tuples[-1] == (3,) * pairs
+        # state_for agrees with positional lookup.
+        for flat, ks in enumerate(tuples):
+            np.testing.assert_allclose(basis.state_for(ks), basis.states[flat], atol=0)
+        for bad in ((0,) * (pairs - 1), (0,) * (pairs + 1), (4,) * pairs, (-1,) * pairs):
+            with pytest.raises(ValueError):
+                basis.state_for(bad)
+    assert bases[0][1].index_tuples() == [(0,), (1,), (2,), (3,)]
 
 
 def test_invalid_sizes_rejected():
@@ -195,7 +227,7 @@ def test_gram_bound_sees_a_non_orthonormal_basis(monkeypatch):
         state = component_state(k, slot, params)
         return state * (1.0 + 1e-6) if (k, slot) == (1, 0) else state
 
-    monkeypatch.setattr(sjm.multiqubit, "component_state", perturbed)
+    monkeypatch.setattr(sjm.bases, "component_state", perturbed)
     params = SjmParams(0.7, -1.3)
     dense = orthonormality_residual(multi_sjm_basis(4, params).states)
     assert dense > 1e-6
@@ -344,7 +376,7 @@ def test_reduction_position_validation():
     with pytest.raises(ValueError):
         multi_reduction_closed_form(0, basis.params, 4, 4)
     with pytest.raises(ValueError):
-        sjm_reduction_closed_form(0, basis.params, 2)
+        multi_reduction_closed_form(0, basis.params, 2, 2)
 
 
 def test_gram_matrix_off_diagonal_structure():
@@ -367,6 +399,6 @@ def test_bases_compare_and_hash_by_identity():
 def test_basis_dataclass_fields():
     params = SjmParams(0.5, 0.1)
     basis = multi_sjm_basis(6, params)
-    assert isinstance(basis, MultiSjmBasis)
+    assert isinstance(basis, JointBasis)
     assert basis.params == params
     assert basis.states[0].shape == (64,)
