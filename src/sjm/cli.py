@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -37,25 +38,11 @@ DEFAULT_THETA = math.pi / 2
 DEFAULT_PHI = math.pi / 4
 # Largest --grid-steps: about 1.5 s of `network scan` on one core.
 GRID_STEPS_CAP = 65536
+# Largest |e| in an angle fraction (Fraction expands 10**e): Python's int digit limit.
+_EXPONENT_CAP = 4300
 # Rows per json.dumps call: amortizes the per-call cost over many small
 # rows, while a chunk of the widest rows (basis, n = 12) stays tens of MB.
 _CHUNK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    theta: float
-    phi: float
-    n: int
-    grid_steps: int
-    output_format: str
-    output_path: str | None
-    mode: str | None = None
-
-    @property
-    def params(self) -> SjmParams:
-        return SjmParams(self.theta, self.phi)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,12 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str, angles=True, n=False, seed=False, grid=False):
-        """A subcommand that accepts only the flags it reads."""
+    def add_command(name: str, run, help_text: str, angles=True, n=False, seed=False, grid=False):
+        """A subcommand that runs `run(args, params)` and accepts only the flags it reads."""
         p = sub.add_parser(name, help=help_text)
         # Parser-level defaults: they win over add_argument's None, and they
         # also give a value to every flag this command does not take.
-        p.set_defaults(theta=None, theta_frac=None, phi=None, phi_frac=None,
+        p.set_defaults(run=run, theta=None, theta_frac=None, phi=None, phi_frac=None,
                        n=2, grid_steps=64, seed=None, mode=None)
         if angles:
             p.add_argument("--theta", type=float, help="theta in radians, [0, pi/2]")
@@ -90,14 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, help="accepted and ignored: no check samples")
         return p
 
-    add_command("basis", "emit the basis amplitude table", n=True)
-    add_command("verify", "run every invariant check and report residuals", n=True, seed=True)
-    add_command("circuit", "emit the discrimination circuit and its state mapping")
-    network = add_command("network", "triangle-network outcome statistics", grid=True)
+    add_command("basis", cmd_basis, "emit the basis amplitude table", n=True)
+    add_command("verify", cmd_verify, "run every invariant check and report residuals",
+                n=True, seed=True)
+    add_command("circuit", cmd_circuit, "emit the discrimination circuit and its state mapping")
+    network = add_command("network", cmd_network, "triangle-network outcome statistics", grid=True)
     network.add_argument("mode", choices=["table", "scan"])
-    add_command("curve", "emit concurrence-versus-theta data for the state families",
+    add_command("curve", cmd_curve, "emit concurrence-versus-theta data for the state families",
                 angles=False, grid=True)
-    add_command("multiqubit", "emit multiqubit Gram bound and reduction vectors", n=True, seed=True)
+    add_command("multiqubit", cmd_multiqubit, "emit multiqubit Gram bound and reduction vectors",
+                n=True, seed=True)
     return parser
 
 
@@ -106,6 +95,9 @@ def _angle(value: float | None, frac: str | None, flag: str, default: float) -> 
         raise ValueError(f"give either --{flag} or --{flag}-frac, not both")
     if frac is not None:
         try:
+            exponent = re.search(r"e([-+]?[\d_]+)", frac, re.IGNORECASE)
+            if exponent and abs(int(exponent[1])) > _EXPONENT_CAP:
+                raise ValueError(f"exponent outside [-{_EXPONENT_CAP}, {_EXPONENT_CAP}]")
             return float(Fraction(frac)) * math.pi
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"cannot parse --{flag}-frac {frac!r}: {exc}") from exc
@@ -114,16 +106,16 @@ def _angle(value: float | None, frac: str | None, flag: str, default: float) -> 
     return default
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    theta = _angle(args.theta, args.theta_frac, "theta", DEFAULT_THETA)
-    phi = _angle(args.phi, args.phi_frac, "phi", DEFAULT_PHI)
+def params_from_args(args: argparse.Namespace) -> SjmParams:
+    """Validate the flags before any computation: write the angles back into
+    `args` in radians and return the one `SjmParams` the command reads."""
+    args.theta = _angle(args.theta, args.theta_frac, "theta", DEFAULT_THETA)
+    args.phi = _angle(args.phi, args.phi_frac, "phi", DEFAULT_PHI)
     if not 1 <= args.grid_steps <= GRID_STEPS_CAP:
         raise ValueError(f"grid-steps must be in [1, {GRID_STEPS_CAP}], got {args.grid_steps}")
-    cfg = RunConfig(command=args.command, theta=theta, phi=phi, n=args.n,
-                    grid_steps=args.grid_steps, output_format=args.format,
-                    output_path=args.output, mode=args.mode)
-    cfg.params  # validate ranges before any computation
-    return cfg
+    if args.output == "":
+        raise ValueError("--output needs a non-empty path")
+    return SjmParams(args.theta, args.phi)
 
 
 @dataclass(frozen=True)
@@ -191,12 +183,12 @@ def write_csv(table: Table, out: TextIO) -> None:
     )
 
 
-def _point(cfg: RunConfig) -> dict:
-    return {"theta": _fmt(cfg.theta), "phi": _fmt(cfg.phi)}
+def _point(args: argparse.Namespace) -> dict:
+    return {"theta": _fmt(args.theta), "phi": _fmt(args.phi)}
 
 
-def cmd_basis(cfg: RunConfig) -> Table:
-    basis = multi_sjm_basis(cfg.n, cfg.params)
+def cmd_basis(args: argparse.Namespace, params: SjmParams) -> Table:
+    basis = multi_sjm_basis(args.n, params)
 
     def amplitudes(state: np.ndarray) -> list[list[float]]:
         # _fmt of every part, but by one %-operation: 1.4x faster per state.
@@ -207,29 +199,29 @@ def cmd_basis(cfg: RunConfig) -> Table:
     rows = ({"index": list(ks), "amplitudes": amplitudes(s)}
             for ks, s in zip(basis.index_tuples(), basis.states))
     return Table(
-        head={"command": "basis", "n": cfg.n, **_point(cfg)}, key="states", rows=rows,
+        head={"command": "basis", "n": args.n, **_point(args)}, key="states", rows=rows,
         columns=("index", "amplitudes"),
-        header=["index"] + [f"amp{i}_{p}" for i in range(2**cfg.n) for p in ("re", "im")],
+        header=["index"] + [f"amp{i}_{p}" for i in range(2**args.n) for p in ("re", "im")],
     )
 
 
-def cmd_verify(cfg: RunConfig) -> Table:
-    residuals = invariant_residuals(cfg.params) + multi_invariant_residuals(cfg.n, cfg.params)
+def cmd_verify(args: argparse.Namespace, params: SjmParams) -> Table:
+    residuals = invariant_residuals(params) + multi_invariant_residuals(args.n, params)
     report = [{"name": name, "residual": _fmt(r), "tolerance": tol, "pass": r <= tol}
               for name, r, tol in residuals]
     all_pass = all(entry["pass"] for entry in report)
     return Table(
-        head={"command": "verify", **_point(cfg), "n": cfg.n},
+        head={"command": "verify", **_point(args), "n": args.n},
         key="invariants", rows=report, columns=("name", "residual", "tolerance", "pass"),
         tail={"all_pass": all_pass}, code=0 if all_pass else 1,
     )
 
 
-def cmd_circuit(cfg: RunConfig) -> Table:
-    circuit = build_sjm_circuit(cfg.params)
-    report = verify_discrimination(circuit, sjm_basis(cfg.params))
+def cmd_circuit(args: argparse.Namespace, params: SjmParams) -> Table:
+    circuit = build_sjm_circuit(params)
+    report = verify_discrimination(circuit, sjm_basis(params))
     return Table(
-        head={"command": "circuit", **_point(cfg), "circuit": circuit_to_dict(circuit)},
+        head={"command": "circuit", **_point(args), "circuit": circuit_to_dict(circuit)},
         key="mappings", rows=[
             {"state": m.state_index, "target": m.target_index, "target_bits": m.target_bits,
              "magnitude": _fmt(m.magnitude), "phase": _fmt(m.phase)}
@@ -243,26 +235,26 @@ def cmd_circuit(cfg: RunConfig) -> Table:
     )
 
 
-def cmd_network(cfg: RunConfig) -> Table:
-    if cfg.mode == "scan":
+def cmd_network(args: argparse.Namespace, params: SjmParams) -> Table:
+    if args.mode == "scan":
         return Table(
-            head={"command": "network-scan", "phi": _fmt(cfg.phi), "grid_steps": cfg.grid_steps,
+            head={"command": "network-scan", "phi": _fmt(args.phi), "grid_steps": args.grid_steps,
                   "bound": _fmt(TRILOCAL_BOUND)},
             key="points", rows=(
                 {"theta": _fmt(r.theta), "p_same": _fmt(r.p_same), "violates": r.violates}
-                for r in nonlocality_scan(np.linspace(0.0, math.pi / 2, cfg.grid_steps), cfg.phi)
+                for r in nonlocality_scan(np.linspace(0.0, math.pi / 2, args.grid_steps), args.phi)
             ),
             columns=("theta", "p_same", "bound", "violates"),
         )
-    dist = joint_distribution(cfg.params)
+    dist = joint_distribution(params)
     outcomes = list(itertools.product(range(4), repeat=3))
     residual = max(
-        abs(dist.prob(a, b, c) - closed_form_probability(a, b, c, cfg.theta))
+        abs(dist.prob(a, b, c) - closed_form_probability(a, b, c, args.theta))
         for a, b, c in outcomes
     )
     ok = residual <= 1e-10
     return Table(
-        head={"command": "network-table", **_point(cfg)},
+        head={"command": "network-table", **_point(args)},
         key="outcomes", rows=(
             {"a": a, "b": b, "c": c, "probability": _fmt(dist.prob(a, b, c))}
             for a, b, c in outcomes
@@ -272,11 +264,11 @@ def cmd_network(cfg: RunConfig) -> Table:
     )
 
 
-def cmd_curve(cfg: RunConfig) -> Table:
-    thetas = np.linspace(0.0, math.pi / 2, cfg.grid_steps + 1)
+def cmd_curve(args: argparse.Namespace, params: SjmParams) -> Table:
+    thetas = np.linspace(0.0, math.pi / 2, args.grid_steps + 1)
     sjm_rows, ejm_rows = (concurrence_curve(family, thetas) for family in ("sjm", "ejm-family"))
     return Table(
-        head={"command": "curve", "grid_steps": cfg.grid_steps},
+        head={"command": "curve", "grid_steps": args.grid_steps},
         key="points", rows=(
             {"theta": _fmt(theta), "c_sjm": _fmt(c_sjm), "c_ejm_family": _fmt(c_ejm),
              "c_original_ejm": 0.5}
@@ -286,42 +278,40 @@ def cmd_curve(cfg: RunConfig) -> Table:
     )
 
 
-def cmd_multiqubit(cfg: RunConfig) -> Table:
-    residual = multi_gram_bound(cfg.n, cfg.params)
+def cmd_multiqubit(args: argparse.Namespace, params: SjmParams) -> Table:
+    residual = multi_gram_bound(args.n, params)
     ok = residual <= 1e-10
-    vectors = multi_reduction_vectors(cfg.n, cfg.params).tolist()
+    vectors = multi_reduction_vectors(args.n, params).tolist()
     # Each state's index list is made as its rows stream out, not all up front.
     rows = ({"index": ks, "position": position, "x": _fmt(x), "y": _fmt(y), "z": _fmt(z)}
-            for ks, state in zip(map(np.ndarray.tolist, _index_array(cfg.n // 2)), vectors)
+            for ks, state in zip(map(np.ndarray.tolist, _index_array(args.n // 2)), vectors)
             for position, (x, y, z) in enumerate(state))
     gram = {"residual": _fmt(residual)}
     return Table(
-        head={"command": "multiqubit", "n": cfg.n, **_point(cfg), "gram": gram},
+        head={"command": "multiqubit", "n": args.n, **_point(args), "gram": gram},
         key="reductions", rows=rows, columns=("index", "position", "x", "y", "z"),
         tail={"pass": ok}, code=0 if ok else 1,
     )
 
 
-_DISPATCH = {"basis": cmd_basis, "verify": cmd_verify, "circuit": cmd_circuit,
-             "network": cmd_network, "curve": cmd_curve, "multiqubit": cmd_multiqubit}
+# Built once: main parses every argv with it and reports errors through it.
+_PARSER = build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        table = _DISPATCH[cfg.command](cfg)
+        table = args.run(args, params_from_args(args))
     except ValueError as exc:
-        parser.error(str(exc))
+        _PARSER.error(str(exc))
     # Every input error is reported above, before the output is opened, so
     # invalid input never creates or truncates an --output file.
-    path = cfg.output_path
+    path = args.output
     try:
         with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
-            (write_json if cfg.output_format == "json" else write_csv)(table, out)
+            (write_json if args.format == "json" else write_csv)(table, out)
     except OSError as exc:
-        parser.error(f"cannot write {path or 'stdout'}: {exc.strerror or exc}")
+        _PARSER.error(f"cannot write {path or 'stdout'}: {exc.strerror or exc}")
     return table.code
 
 

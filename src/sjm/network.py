@@ -75,7 +75,7 @@ def joint_distribution(params: SjmParams) -> OutcomeDistribution:
     m = sjm_basis(params).states  # (4, 4): state index x amplitudes
     psi = TRIANGLE_STATE.reshape(4, 4, 4)  # party pairs (A1A2), (B1B2), (C1C2)
     amps = np.einsum("ja,kb,lc,abc->jkl", m.conj(), m.conj(), m.conj(), psi)
-    return OutcomeDistribution(params=params, probs=np.maximum(np.abs(amps) ** 2, 0.0))
+    return OutcomeDistribution(params=params, probs=np.abs(amps) ** 2)
 
 
 def outcome_amplitude(j: int, k: int, l: int, params: SjmParams) -> complex:
@@ -155,7 +155,7 @@ def nonlocality_scan(thetas, phi: float = math.pi / 4) -> list[NonlocalityReport
     thetas = [float(theta) for theta in thetas]
     m = sjm_basis_sweep(thetas, phi).conj()
     amps = np.einsum("tka,tkb,tkc,abc->tk", m, m, m, TRIANGLE_STATE.reshape(4, 4, 4))
-    probs = np.maximum(np.abs(amps) ** 2, 0.0)
+    probs = np.abs(amps) ** 2
     p_same = ((probs[:, 0] + probs[:, 1]) + probs[:, 2]) + probs[:, 3]
     return [
         NonlocalityReport(theta=theta, p_same=p, bound=TRILOCAL_BOUND,

@@ -9,6 +9,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
 import traceback
 from pathlib import Path
 
@@ -31,8 +33,8 @@ from sjm.cli import (
     _cells,
     _fmt,
     build_parser,
-    config_from_args,
     main,
+    params_from_args,
     write_json,
 )
 
@@ -320,11 +322,11 @@ ANGLE_COMMANDS = (["basis"], ["verify"], ["circuit"], ["network", "table"], ["ne
                   ["multiqubit"])
 
 
-def _exit_and_stderr(argv) -> tuple[int, str]:
-    """Exit code and stderr of one in-process run, as the interpreter gives
-    them: an exception escaping `main` is a traceback and exit 1."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _exit_stdout_and_stderr(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run, as the interpreter
+    gives them: an exception escaping `main` is a traceback and exit 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -332,7 +334,12 @@ def _exit_and_stderr(argv) -> tuple[int, str]:
         except Exception:
             traceback.print_exc()
             code = 1
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exit_and_stderr(argv) -> tuple[int, str]:
+    code, _, err = _exit_stdout_and_stderr(argv)
+    return code, err
 
 
 @pytest.mark.parametrize("command", ANGLE_COMMANDS, ids=" ".join)
@@ -411,7 +418,8 @@ def test_flags_a_command_does_not_read_exit_2(argv, capsys):
 
 def test_grid_steps_cap(capsys):
     args = build_parser().parse_args(["curve", "--grid-steps", str(GRID_STEPS_CAP)])
-    assert config_from_args(args).grid_steps == GRID_STEPS_CAP
+    params_from_args(args)  # the cap itself validates
+    assert args.grid_steps == GRID_STEPS_CAP
     for argv in (["curve"], ["network", "scan"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--grid-steps", str(GRID_STEPS_CAP + 1)])
@@ -456,7 +464,7 @@ def test_benchmark_argv_uses_only_accepted_flags(monkeypatch):
         for size in workloads.SIZES:
             stream = workloads.OpStream(name, seed=1, size=size)
             for op in [stream.warmup] + stream.next_cycle():
-                config_from_args(parser.parse_args(op.argv))
+                params_from_args(parser.parse_args(op.argv))
 
 
 JSON_SCALARS = (
@@ -563,3 +571,101 @@ def test_verify_and_multiqubit_never_build_the_dense_basis(monkeypatch):
         code, out = _stdout(argv)
         assert code == 0
         assert out
+
+
+@pytest.mark.parametrize("flag", ["theta-frac", "phi-frac"])
+@pytest.mark.parametrize("value", ["1e10000000", "-1e10000000", "1e-30000000", "1e1_000_000_0"])
+def test_huge_angle_fraction_exponent_exits_2_at_once(flag, value):
+    # Fraction would expand 10**e exactly: 12.9 s for 1e10000000.
+    start = time.perf_counter()
+    code, err = _exit_and_stderr(["verify", f"--{flag}={value}"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    lines = err.splitlines()
+    assert lines[-1].startswith(f"sjm: error: cannot parse --{flag} ")
+    assert sum(line.startswith("sjm: error:") for line in lines) == 1
+
+
+def test_angle_fraction_exponent_at_the_bound_still_parses():
+    assert _stdout(["basis", "--theta-frac=1e-4300"]) == _stdout(["basis", "--theta=0"])
+    assert _stdout(["basis", "--phi-frac=25e-2"]) == _stdout(["basis", "--phi-frac=1/4"])
+
+
+@pytest.mark.parametrize("command", [*ANGLE_COMMANDS, ["curve"]], ids=" ".join)
+def test_empty_output_exits_2_and_writes_nothing(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--output="])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[-1] == "sjm: error: --output needs a non-empty path"
+    assert sum(line.startswith("sjm: error:") for line in lines) == 1
+
+
+# One argv of every command.
+EVERY_COMMAND = (["basis", "--n", "4"], ["verify"], ["circuit", "--format", "csv"],
+                 ["network", "table"], ["network", "scan", "--grid-steps", "8"],
+                 ["curve", "--grid-steps", "8"], ["multiqubit", "--n", "4"])
+
+
+def test_main_never_rebuilds_the_parser(monkeypatch):
+    before = [_stdout(argv) for argv in EVERY_COMMAND]
+
+    def forbidden():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(sjm.cli, "build_parser", forbidden)
+    assert [_stdout(argv) for argv in EVERY_COMMAND] == before
+
+
+ANGLE_FLAGS = ("theta", "theta-frac", "phi", "phi-frac")
+# Each command, the flags it reads, and one flag of another command.
+ARGV_COMMANDS = (
+    (["basis"], ANGLE_FLAGS + ("n",), "grid-steps"),
+    (["verify"], ANGLE_FLAGS + ("n", "seed"), "grid-steps"),
+    (["circuit"], ANGLE_FLAGS, "n"),
+    (["network", "table"], ANGLE_FLAGS + ("grid-steps",), "seed"),
+    (["network", "scan"], ANGLE_FLAGS + ("grid-steps",), "n"),
+    (["curve"], ("grid-steps",), "theta"),
+    (["multiqubit"], ANGLE_FLAGS + ("n", "seed"), "grid-steps"),
+)
+FLAG_VALUES = {
+    **dict.fromkeys(ANGLE_FLAGS, ANGLE_VALUES),
+    "n": st.sampled_from(["2", "4", "6", "0", "3", "-2", "14", str(10**30), "x"]),
+    "grid-steps": st.sampled_from(["1", "8", "0", "-1", "65537", "2.5"]),
+    "seed": st.sampled_from(["1", "x"]),
+    "format": st.sampled_from(["json", "csv", "xml"]),
+    "output": st.sampled_from(["new", "existing", "directory", "missing parent", "empty"]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_whole_argv_exits_0_1_or_2_as_documented(data):
+    command, reads, unread = data.draw(st.sampled_from(ARGV_COMMANDS), label="command")
+    flags = data.draw(st.lists(st.sampled_from(reads + ("format", "output", unread)),
+                               unique=True), label="flags")
+    values = {flag: data.draw(FLAG_VALUES[flag], label=flag) for flag in flags}
+    with tempfile.TemporaryDirectory() as tmp:
+        existing = Path(tmp, "existing")
+        existing.write_text("kept\n", encoding="utf-8")
+        outputs = {"new": Path(tmp, "new"), "existing": existing, "directory": tmp,
+                   "missing parent": Path(tmp, "missing", "out"), "empty": ""}
+        if "output" in values:
+            values["output"] = outputs[values["output"]]
+        argv = command + [f"--{flag}={value}" for flag, value in values.items()]
+        code, out, err = _exit_stdout_and_stderr(argv)
+        assert "Traceback" not in err
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len([line for line in err.splitlines() if ERROR_LINE.match(line)]) == 1
+            assert out == ""
+            # An input error is reported before --output is opened, and the
+            # directory and the missing parent cannot be opened at all.
+            assert existing.read_text(encoding="utf-8") == "kept\n"
+            assert not Path(tmp, "new").exists()
+        if code == 1:
+            plain = [arg for arg in argv if not arg.startswith(("--format", "--output"))]
+            doc = json.loads(_exit_stdout_and_stderr(plain)[1])
+            assert False in (doc.get("all_pass"), doc.get("pass"))
