@@ -1,8 +1,10 @@
 """Entanglement measures and Bloch-sphere geometry of the basis states.
 
-Everything here works on the reduced single-qubit states: concurrence via
-purity of the reduction, Bloch vectors of each marginal, and the
+Everything here works on the reduced single-qubit states: concurrence as
+2 |det M| of the amplitude matrix, Bloch vectors of each marginal, and the
 pi-rotation symmetry relating the two marginals of every basis state.
+`multiqubit.multi_invariant_residuals` gathers these checks into the report
+`sjm verify` prints.
 """
 from __future__ import annotations
 
@@ -11,21 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bases import (
-    JointBasis,
-    SjmParams,
-    component_state,
-    cos_k_pi,
-    ejm_aligned,
-    ejm_family_state,
-    original_ejm_basis,
-    sjm_basis,
-    sjm_basis_sweep,
-    sjm_overlap_closed_form,
-    sjm_state_closed_form,
-)
-from .linalg import (PAULIS, completeness_residual, gram_matrix, inner, ket, num_qubits,
-                     partial_trace)
+from .bases import (JointBasis, SjmParams, cos_k_pi, ejm_aligned, ejm_family_state, sjm_basis,
+                    sjm_basis_sweep)
+from .linalg import PAULIS, ket, num_qubits, partial_trace
 
 TOL_AXIS = 1e-10
 
@@ -134,43 +124,40 @@ def rotation_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.nda
     return v * c + np.cross(axis, v) * s + axis * np.dot(axis, v) * (1.0 - c)
 
 
+def reduction_vectors(states: np.ndarray) -> np.ndarray:
+    """Bloch vectors of both marginals of each two-qubit state, shape
+    (len(states), 2, 3): [state, qubit], by partial trace."""
+    return np.array([[reduction_vector(s, qubit) for qubit in (0, 1)] for s in states])
+
+
 def rotation_symmetry_residual(basis: JointBasis) -> float:
     """Max deviation of R_pi(axis_k) v_k^(0) from v_k^(1) across the basis."""
     if basis.params is None:
         raise ValueError("rotation symmetry check needs a parameterized basis")
-    worst = 0.0
-    for k, state in enumerate(basis.states):
-        axis = symmetry_axis(k, basis.params)
-        rotated = rotation_about_axis(reduction_vector(state, 0), axis, math.pi)
-        worst = max(worst, float(np.abs(rotated - reduction_vector(state, 1)).max()))
-    return worst
+    return max(
+        float(np.abs(rotation_about_axis(v[0], symmetry_axis(k, basis.params), math.pi)
+                     - v[1]).max())
+        for k, v in enumerate(reduction_vectors(basis.states))
+    )
 
 
 def zero_sum_residual(basis: JointBasis) -> float:
     """Max component of sum_k v_k over both marginals (0 for a valid basis)."""
-    worst = 0.0
-    for qubit in (0, 1):
-        total = sum(reduction_vector(s, qubit) for s in basis.states)
-        worst = max(worst, float(np.abs(total).max()))
-    return worst
+    return float(np.abs(reduction_vectors(basis.states).sum(axis=0)).max())
 
 
 def aligned_tetrahedron_residual() -> float:
     """How far the marginals at theta=pi/2, phi=pi/4 sit from the reference
     tetrahedra: worst deviation over vertex positions, circumradii
     (sqrt(3)/2), and pairwise vertex distances (sqrt 2)."""
-    basis = sjm_basis(ejm_aligned())
-    worst = 0.0
-    for qubit, expected in ((0, ALIGNED_VERTICES_FIRST), (1, ALIGNED_VERTICES_SECOND)):
-        vertices = np.array([reduction_vector(s, qubit) for s in basis.states])
-        worst = max(worst, float(np.abs(vertices - expected).max()))
-        radii = np.linalg.norm(vertices, axis=1)
-        worst = max(worst, float(np.abs(radii - math.sqrt(3.0) / 2.0).max()))
-        for a in range(4):
-            for b in range(a + 1, 4):
-                edge = float(np.linalg.norm(vertices[a] - vertices[b]))
-                worst = max(worst, abs(edge - math.sqrt(2.0)))
-    return worst
+    # [qubit, state, xyz]
+    vertices = reduction_vectors(sjm_basis(ejm_aligned()).states).transpose(1, 0, 2)
+    expected = np.stack([ALIGNED_VERTICES_FIRST, ALIGNED_VERTICES_SECOND])
+    a, b = np.triu_indices(4, 1)
+    edges = np.linalg.norm(vertices[:, a] - vertices[:, b], axis=2)
+    return float(max(np.abs(vertices - expected).max(),
+                     np.abs(np.linalg.norm(vertices, axis=2) - math.sqrt(3.0) / 2.0).max(),
+                     np.abs(edges - math.sqrt(2.0)).max()))
 
 
 def concurrence_curve(
@@ -191,48 +178,3 @@ def concurrence_curve(
     else:
         raise ValueError(f"unknown family {family!r}")
     return list(zip(thetas, concurrence(states).tolist()))
-
-
-def invariant_residuals(params: SjmParams) -> list[tuple[str, float, float]]:
-    """Every two-qubit invariant of the basis at `params` as
-    (name, residual, tolerance); `sjm verify` reports them in this order."""
-    basis = sjm_basis(params)
-    gram = gram_matrix(basis.states)
-    construction = max(
-        float(np.abs(basis.states[k] - sjm_state_closed_form(k, params)).max())
-        for k in range(4)
-    )
-    overlap_cf = max(
-        abs(gram[j, k] - sjm_overlap_closed_form(j, k, params))
-        for j in range(4)
-        for k in range(4)
-    )
-    component_overlap = max(abs(inner(component_state(k, 0, params), component_state(k, 1, params))
-                                - 1.0 / math.sqrt(2.0)) for k in range(4))
-    conc = max(
-        abs(concurrence(s) - sjm_concurrence_closed_form(params.theta))
-        for s in basis.states
-    )
-    reduction = max(
-        float(np.abs(reduction_vector(s, q) - multi_reduction_closed_form(k, params, 2, q)).max())
-        for k, s in enumerate(basis.states) for q in (0, 1)
-    )
-    aligned = ejm_aligned()
-    ejm = original_ejm_basis()
-    aligned_states = sjm_basis(aligned).states
-    ejm_relation = max(
-        abs(inner(ejm.states[j], aligned_states[(j + 1) % 4])) for j in range(4)
-    )
-    return [
-        ("orthonormality_residual", float(np.abs(gram - np.eye(4)).max()), 1e-10),
-        ("completeness_residual", completeness_residual(basis.states), 1e-10),
-        ("construction_closed_form_residual", construction, 1e-12),
-        ("overlap_closed_form_residual", float(overlap_cf), 1e-12),
-        ("component_overlap_residual", float(component_overlap), 1e-12),
-        ("concurrence_residual", float(conc), 1e-10),
-        ("reduction_closed_form_residual", reduction, 1e-10),
-        ("rotational_symmetry_residual", rotation_symmetry_residual(basis), 1e-10),
-        ("zero_sum_residual", zero_sum_residual(basis), 1e-10),
-        ("aligned_ejm_orthogonality_residual", float(ejm_relation), 1e-10),
-        ("aligned_tetrahedron_residual", aligned_tetrahedron_residual(), 1e-10),
-    ]

@@ -28,6 +28,13 @@ def cos_k_pi(k: int) -> float:
     return -1.0 if k % 2 else 1.0
 
 
+def _state_index(k: int) -> int:
+    """k, checked to name one of the four basis states."""
+    if k not in (0, 1, 2, 3):
+        raise ValueError(f"state index must be 0, 1, 2 or 3, got {k}")
+    return k
+
+
 def _checked_angle(value: float, low: float, high: float, message: str) -> float:
     """Range-check an angle, snapping values a rounding error past an endpoint
     back onto it (15-significant-digit emission can round pi/2 slightly up)."""
@@ -65,8 +72,8 @@ class SjmParams:
         )
 
     def phi_k(self, k: int) -> float:
-        """Azimuth of basis state k."""
-        return self.phi + PHI_OFFSETS[k]
+        """Azimuth of basis state k; every parameterized state index passes here."""
+        return self.phi + PHI_OFFSETS[_state_index(k)]
 
 
 def ejm_aligned() -> SjmParams:
@@ -232,7 +239,7 @@ def original_ejm_state(j: int) -> np.ndarray:
     r_pm = (cos(j pi) +- 1)/sqrt(2), the |01>/|10> slots exchanged, and a
     -e^{i phi_j} amplitude on |11>.
     """
-    phase = np.exp(1j * EJM_PHI[j])
+    phase = np.exp(1j * EJM_PHI[_state_index(j)])
     cj = cos_k_pi(j)
     r_plus = (cj + 1.0) / math.sqrt(2.0)
     r_minus = (cj - 1.0) / math.sqrt(2.0)

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import concurrence_curve, invariant_residuals
+from .analysis import concurrence_curve
 from .bases import SjmParams, _fmt, _index_array, sjm_basis
 from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
 from .multiqubit import (
@@ -206,9 +206,8 @@ def cmd_basis(args: argparse.Namespace, params: SjmParams) -> Table:
 
 
 def cmd_verify(args: argparse.Namespace, params: SjmParams) -> Table:
-    residuals = invariant_residuals(params) + multi_invariant_residuals(args.n, params)
     report = [{"name": name, "residual": _fmt(r), "tolerance": tol, "pass": r <= tol}
-              for name, r, tol in residuals]
+              for name, r, tol in multi_invariant_residuals(args.n, params)]
     all_pass = all(entry["pass"] for entry in report)
     return Table(
         head={"command": "verify", **_point(args), "n": args.n},

@@ -7,6 +7,7 @@ across all pairs at once.  Orthonormality rests on the identity
 auxiliary orthonormal single-qubit bases.  Each state is a sum of two
 product states over the pairs, so the Gram check and the reductions work
 from the 4x4 pair matrices alone; only `multi_sjm_basis` is dense (2^n).
+`multi_invariant_residuals` is the list of invariants `sjm verify` prints.
 """
 from __future__ import annotations
 
@@ -14,11 +15,14 @@ import math
 
 import numpy as np
 
-from .analysis import bloch_vector, multi_reduction_closed_form
+from .analysis import (aligned_tetrahedron_residual, bloch_vector, concurrence,
+                       multi_reduction_closed_form, reduction_vectors, rotation_symmetry_residual,
+                       sjm_concurrence_closed_form, zero_sum_residual)
 from .bases import (_COMPONENT_NORM, _EIGHTH_TURN, JointBasis, SjmParams, _components,
-                    _index_array, _pair_matrices_of, _symmetrize, pair_matrices,
-                    sjm_state)  # pair_matrices: re-exported, it lives in bases
-from .linalg import PAULIS, inner, partial_trace, tensor
+                    _index_array, _pair_matrices_of, _state_index, _symmetrize, ejm_aligned,
+                    original_ejm_basis, pair_matrices,  # pair_matrices: re-exported
+                    sjm_basis, sjm_overlap_closed_form, sjm_state, sjm_state_closed_form)
+from .linalg import PAULIS, completeness_residual, gram_matrix, inner, partial_trace, tensor
 
 # Dimension 4096 keeps the dense construction interactive; a config
 # constant, not an algorithmic limit.
@@ -54,7 +58,7 @@ def pairwise_overlap_product(j: int, k: int, params: SjmParams) -> complex:
     """<m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}>; equals delta_{jk}, which is what
     makes the n-qubit Gram matrix the identity."""
     components = _components(params)
-    return _overlap_product(components[j], components[k])
+    return _overlap_product(components[_state_index(j)], components[_state_index(k)])
 
 
 def _pairs(n: int) -> int:
@@ -141,33 +145,57 @@ def multi_reduction_vector(basis: JointBasis, ks: tuple[int, ...], position: int
 
 
 def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, float, float]]:
-    """Every multiqubit invariant at `params` as (name, residual, tolerance),
-    certifying the n-qubit basis from its pair matrices, built once."""
+    """Every invariant at `params` as (name, residual, tolerance), in the order
+    `sjm verify` reports them: the two-qubit basis, the aligned point, then the
+    n-qubit basis, certified from its pair matrices.  The components, (F, S)
+    and the basis are built once; `sjm_state` stays the independent oracle."""
     pairs = _pairs(n)
     components = _components(params)
     forward, swapped = _pair_matrices_of(components)
-    two_from_states = np.array([sjm_state(k, params) for k in range(4)])
-    match = float(np.abs(_symmetrize(params.theta, forward, swapped) - two_from_states).max())
-    aux_orth = max(
-        abs(inner(aux_state(which, +1, params.phi), aux_state(which, -1, params.phi)))
-        for which in (0, 1)
-    )
-    overlap_product = max(
-        abs(_overlap_product(components[j], components[k]) - (1.0 if j == k else 0.0))
-        for j in range(4) for k in range(4)
-    )
-    # The closed form depends on (k, position) only: evaluate each once.
-    closed = np.array(
-        [[multi_reduction_closed_form(k, params, n, q) for q in range(n)] for k in range(4)]
-    )
+    basis = JointBasis(_symmetrize(params.theta, forward, swapped), params)
+    gram = gram_matrix(basis.states)
+    ks, phi = range(4), params.phi
+
+    def worst(values: np.ndarray, reference: np.ndarray | float) -> float:
+        return float(np.abs(values - reference).max())
+
+    def closed(m: int) -> np.ndarray:
+        """The closed-form reductions on m qubits, [k, position]: each (k, position) once."""
+        return np.array([[multi_reduction_closed_form(k, params, m, q) for q in range(m)]
+                         for k in ks])
+
+    ejm, aligned = original_ejm_basis().states, sjm_basis(ejm_aligned()).states
     positions = np.arange(n)
-    expected = closed[_index_array(pairs)[:, positions // 2], positions]
-    vectors = _reduction_vectors(pairs, params.theta, forward, swapped)
-    reduction = float(np.abs(vectors - expected).max())
     return [
-        ("multi_two_qubit_match_residual", match, 1e-12),
-        ("aux_orthogonality_residual", float(aux_orth), 1e-12),
-        ("overlap_product_residual", float(overlap_product), 1e-12),
+        ("orthonormality_residual", worst(gram, np.eye(4)), 1e-10),
+        ("completeness_residual", completeness_residual(basis.states), 1e-10),
+        ("construction_closed_form_residual",
+         worst(basis.states, np.array([sjm_state_closed_form(k, params) for k in ks])), 1e-12),
+        # Scalar `abs` of a complex is hypot; np.abs of a complex array can
+        # differ from it in the last bit, so these rows keep the scalar form.
+        ("overlap_closed_form_residual", float(max(
+            abs(gram[j, k] - sjm_overlap_closed_form(j, k, params)) for j in ks for k in ks)),
+         1e-12),
+        ("component_overlap_residual",
+         max(abs(inner(m0, m1) - 1.0 / math.sqrt(2.0)) for m0, m1 in components), 1e-12),
+        ("concurrence_residual",
+         worst(concurrence(basis.states), sjm_concurrence_closed_form(params.theta)), 1e-10),
+        ("reduction_closed_form_residual",
+         worst(reduction_vectors(basis.states), closed(2)), 1e-10),
+        ("rotational_symmetry_residual", rotation_symmetry_residual(basis), 1e-10),
+        ("zero_sum_residual", zero_sum_residual(basis), 1e-10),
+        ("aligned_ejm_orthogonality_residual",
+         max(abs(inner(ejm[j], aligned[(j + 1) % 4])) for j in ks), 1e-10),
+        ("aligned_tetrahedron_residual", aligned_tetrahedron_residual(), 1e-10),
+        ("multi_two_qubit_match_residual",
+         worst(basis.states, np.array([sjm_state(k, params) for k in ks])), 1e-12),
+        ("aux_orthogonality_residual",
+         max(abs(inner(aux_state(w, +1, phi), aux_state(w, -1, phi))) for w in (0, 1)), 1e-12),
+        ("overlap_product_residual",
+         max(abs(_overlap_product(components[j], components[k]) - float(j == k))
+             for j in ks for k in ks), 1e-12),
         ("multi_gram_residual", _gram_bound(pairs, params.theta, forward, swapped), 1e-10),
-        ("multi_reduction_residual", reduction, 1e-10),
+        ("multi_reduction_residual",
+         worst(_reduction_vectors(pairs, params.theta, forward, swapped),
+               closed(n)[_index_array(pairs)[:, positions // 2], positions]), 1e-10),
     ]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sjm.multiqubit
+from sjm.analysis import multi_reduction_closed_form, symmetry_axis
 from sjm.bases import (
     EJM_PHI,
     PHI_OFFSETS,
@@ -35,6 +36,7 @@ from sjm.linalg import (
     orthonormality_residual,
     partial_trace,
 )
+from sjm.multiqubit import pairwise_overlap_product
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
@@ -128,6 +130,27 @@ def test_component_states_normalized_with_fixed_overlap(k, phi):
 def test_component_state_bad_slot():
     with pytest.raises(ValueError):
         component_state(0, 2, SjmParams(0.1, 0.1))
+
+
+@pytest.mark.parametrize("k", (-1, 4))
+@pytest.mark.parametrize("build", [
+    lambda k, p: sjm_state(k, p),
+    lambda k, p: sjm_state_closed_form(k, p),
+    lambda k, p: component_state(k, 0, p),
+    lambda k, p: direction_state(k, +1, p),
+    lambda k, p: sjm_overlap_closed_form(0, k, p),
+    lambda k, p: symmetry_axis(k, p),
+    lambda k, p: multi_reduction_closed_form(k, p, 2, 0),
+    lambda k, p: original_ejm_state(k),
+    lambda k, p: pairwise_overlap_product(k, 0, p),
+    lambda k, p: pairwise_overlap_product(0, k, p),
+], ids=["sjm_state", "sjm_state_closed_form", "component_state", "direction_state",
+        "sjm_overlap_closed_form", "symmetry_axis", "multi_reduction_closed_form",
+        "original_ejm_state", "pairwise_overlap_product_j", "pairwise_overlap_product_k"])
+def test_state_index_outside_0_to_3_rejected(build, k):
+    # -1 used to wrap round to state 3, and 4 to raise a bare IndexError.
+    with pytest.raises(ValueError, match="state index"):
+        build(k, SjmParams(0.1, 0.1))
 
 
 @pytest.mark.parametrize("theta,phi", GRID)

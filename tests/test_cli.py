@@ -556,6 +556,29 @@ def test_certificate_catches_a_perturbed_component(monkeypatch):
     assert doc["all_pass"] is False
 
 
+def test_verify_builds_its_components_once(monkeypatch):
+    # One construction of the basis serves every row; the per-state
+    # `sjm_state` oracle builds its own 8 components on top.
+    params = sjm.bases.SjmParams(0.7, -1.3)
+    counts = {"_components": 0, "component_state": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += args[-1] == params
+            return fn(*args)
+        return counted
+
+    components = counting("_components", sjm.bases._components)
+    for module in (sjm.bases, sjm.multiqubit):
+        monkeypatch.setattr(module, "_components", components)
+    monkeypatch.setattr(sjm.bases, "component_state",
+                        counting("component_state", sjm.bases.component_state))
+    code, out = _stdout(["verify", "--theta", "0.7", "--phi=-1.3"])
+    assert code == 0
+    assert len(json.loads(out)["invariants"]) == 16
+    assert counts == {"_components": 1, "component_state": 16}
+
+
 def test_verify_and_multiqubit_never_build_the_dense_basis(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense path reached")

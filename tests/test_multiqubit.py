@@ -234,6 +234,31 @@ def test_gram_bound_sees_a_non_orthonormal_basis(monkeypatch):
     assert multi_gram_bound(4, params) >= dense - 1e-14
 
 
+# The rows of `sjm verify`, in the order it prints them.
+VERIFY_ORDER = (
+    "orthonormality_residual", "completeness_residual", "construction_closed_form_residual",
+    "overlap_closed_form_residual", "component_overlap_residual", "concurrence_residual",
+    "reduction_closed_form_residual", "rotational_symmetry_residual", "zero_sum_residual",
+    "aligned_ejm_orthogonality_residual", "aligned_tetrahedron_residual",
+    "multi_two_qubit_match_residual", "aux_orthogonality_residual", "overlap_product_residual",
+    "multi_gram_residual", "multi_reduction_residual",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=THETAS, phi=PHIS, n=st.sampled_from((2, 4, 6, 8, 10, 12)))
+@example(theta=0.0, phi=-math.pi, n=2)
+@example(theta=0.0, phi=math.pi, n=12)
+@example(theta=math.pi / 2, phi=-math.pi, n=12)
+@example(theta=math.pi / 2, phi=math.pi, n=2)
+def test_verify_report_holds_at_random_points(theta, phi, n):
+    residuals = multi_invariant_residuals(n, SjmParams(theta, phi))
+    assert tuple(name for name, _, _ in residuals) == VERIFY_ORDER
+    for name, residual, tolerance in residuals:
+        assert type(residual) is float, name
+        assert residual <= tolerance, name
+
+
 def test_invariant_residuals_are_json_floats():
     residuals = multi_invariant_residuals(8, SjmParams(0.7, -1.3))
     assert all(type(r) is float and r <= tol for _, r, tol in residuals)
