@@ -134,16 +134,25 @@ def rotation_symmetry_residual(basis: JointBasis) -> float:
     """Max deviation of R_pi(axis_k) v_k^(0) from v_k^(1) across the basis."""
     if basis.params is None:
         raise ValueError("rotation symmetry check needs a parameterized basis")
+    return _rotation_residual(reduction_vectors(basis.states), basis.params)
+
+
+def _rotation_residual(vectors: np.ndarray, params: SjmParams) -> float:
+    """`rotation_symmetry_residual` from the basis's `reduction_vectors`."""
     return max(
-        float(np.abs(rotation_about_axis(v[0], symmetry_axis(k, basis.params), math.pi)
-                     - v[1]).max())
-        for k, v in enumerate(reduction_vectors(basis.states))
+        float(np.abs(rotation_about_axis(v[0], symmetry_axis(k, params), math.pi) - v[1]).max())
+        for k, v in enumerate(vectors)
     )
 
 
 def zero_sum_residual(basis: JointBasis) -> float:
     """Max component of sum_k v_k over both marginals (0 for a valid basis)."""
-    return float(np.abs(reduction_vectors(basis.states).sum(axis=0)).max())
+    return _zero_sum_residual(reduction_vectors(basis.states))
+
+
+def _zero_sum_residual(vectors: np.ndarray) -> float:
+    """`zero_sum_residual` from the basis's `reduction_vectors`."""
+    return float(np.abs(vectors.sum(axis=0)).max())
 
 
 def aligned_tetrahedron_residual() -> float:

@@ -7,13 +7,19 @@ Identical invocations produce byte-identical output (--seed changes nothing).
 All floats are emitted with 15 significant digits.
 
 Each command validates its input and returns a `Table` whose rows are
-built lazily; `write_json` or `write_csv` streams it, so no command holds
-its whole output in memory.
+tuples of raw values, built lazily.  `write_json` and `write_csv` turn the
+table's row layout into one %-template per table (for JSON, json.dumps of
+a sentinel row lays it out) and stream the rows through it a chunk at a
+time, so no command holds its whole output in memory.  Every float is
+formatted once, by "%.15g": CSV prints that text, and JSON the same text
+but where the JSON of the rounded float differs (1.0 for 1, NaN, ...).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import itertools
 import json
 import math
@@ -22,12 +28,12 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .analysis import concurrence_curve
-from .bases import SjmParams, _fmt, _index_array, sjm_basis
+from .bases import SjmParams, _index_array, sjm_basis
 from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
 from .multiqubit import (
     multi_gram_bound, multi_invariant_residuals, multi_reduction_vectors, multi_sjm_basis,
@@ -40,9 +46,9 @@ DEFAULT_PHI = math.pi / 4
 GRID_STEPS_CAP = 65536
 # Largest |e| in an angle fraction (Fraction expands 10**e): Python's int digit limit.
 _EXPONENT_CAP = 4300
-# Rows per json.dumps call: amortizes the per-call cost over many small
-# rows, while a chunk of the widest rows (basis, n = 12) stays tens of MB.
-_CHUNK_ROWS = 64
+# Values per written chunk of rows: amortizes the per-write cost over many
+# small rows, while a chunk of the widest rows (basis, n = 12) stays under 1 MB.
+_CHUNK_VALUES = 4096
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,96 +128,209 @@ def params_from_args(args: argparse.Namespace) -> SjmParams:
 class Table:
     """What a command emits: fixed fields around one lazily built row list.
 
+    Every row has the layout of `shape`, a dict whose scalars (float, int,
+    bool or str) stand for the row's values; a row in `rows` is the tuple
+    of those values in document order, e.g. (*index, position, x, y, z).
     JSON: the `head` fields (never empty: they start with `command`), then
     `key` holding the rows, then `tail`.
     CSV: `header` (default: `columns`), then per row the cells of each of
-    `columns`, looked up in the row, else in `head`.
+    `columns` (default: the keys of `shape`), from the row, else from
+    `head`: booleans in lowercase, a flat list (an index tuple of ints) as
+    its digits run together, a list of lists (amplitude pairs) as one cell
+    per number.  `columns` names the row's fields in their order.
     """
 
     head: dict
     key: str
-    rows: Iterable[dict]
-    columns: Sequence[str]
-    header: Sequence[str] | None = None
+    shape: dict
+    rows: Iterable[tuple]
+    columns: Sequence[str] = ()
+    header: Sequence[str] = ()
     tail: dict = field(default_factory=dict)
     code: int = 0
 
 
+_BOOL_TEXT = ("false", "true")
+# A float's JSON slot writes "\0" before its "%.15g" text: json.dumps escapes
+# that character in every string, so in the output it marks floats only.
+_JSON_SLOTS = {bool: "%s", int: "%d", float: "\0%.15g", str: "%s"}
+_JSON_CONVERT = {bool: _BOOL_TEXT.__getitem__, str: json.dumps}
+# The "%.15g" tokens that differ from the JSON of the float they round to:
+# integers (JSON writes 1.0), nan and inf, e+15 (JSON writes all 16 digits),
+# e+308 (rounds up to inf) and subnormals (JSON may write fewer digits).
+# The common "0.…" and "-0.…" tokens never do, and are passed over first.
+_JSON_FLOAT_FIX = re.compile(
+    r"\0(?!-?0\.)(-?\d+(?![\d.e])|nan|-?inf|-?\d(?:\.\d+)?e(?:\+15|\+308|-3\d\d)(?!\d))")
+_CSV_SLOTS = {**_JSON_SLOTS, float: "%.15g"}
+
+
+def _kind(value) -> type:
+    for kind in (bool, int, float, str):  # bool first: it is an int
+        if isinstance(value, kind):
+            return kind
+    raise TypeError(f"cannot emit {value!r}")
+
+
+def _leaves(value) -> Iterator:
+    """The scalars of a JSON value, in document order."""
+    if isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _skeleton(value, slot: str):
+    """`value` with every scalar replaced by `slot`."""
+    if isinstance(value, dict):
+        return {k: _skeleton(item, slot) for k, item in value.items()}
+    if isinstance(value, list):
+        return [_skeleton(item, slot) for item in value]
+    return slot
+
+
+def _format(template: str, kinds: Sequence[type], convert: dict,
+            rows: Iterable[tuple]) -> Iterator[str]:
+    """The text of `rows` through the one-row `template`, a chunk of rows at a
+    time, each chunk by one %-operation; a value whose slot kind is in
+    `convert` passes through its function first."""
+    width = len(kinds)
+    fixes = [(i, convert[kind]) for i, kind in enumerate(kinds) if kind in convert]
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, max(1, _CHUNK_VALUES // max(1, width)))):
+        values = list(itertools.chain.from_iterable(chunk))
+        for i, fix in fixes:
+            values[i::width] = map(fix, values[i::width])
+        yield template * len(chunk) % tuple(values)
+
+
+def _json_template(value, indent: str = "") -> tuple[str, list[type]]:
+    """json.dumps(value, indent=2) as a %-template of `value`'s scalars, each
+    line after the first starting with `indent`; and the scalars' kinds."""
+    kinds = [_kind(leaf) for leaf in _leaves(value)]
+    # A sentinel string longer than every key shows up only where a scalar was.
+    for width in itertools.count(1):
+        sentinel = "\0" * width
+        parts = json.dumps(_skeleton(value, sentinel), indent=2).split(json.dumps(sentinel))
+        if len(parts) == len(kinds) + 1:
+            break
+    slots = [_JSON_SLOTS[kind] for kind in kinds] + [""]
+    template = "".join(part.replace("%", "%%") + slot for part, slot in zip(parts, slots))
+    return template.replace("\n", "\n" + indent), kinds
+
+
+def _json_float(match: re.Match) -> str:
+    value = float(match[1])
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _json_floats(text: str) -> str:
+    """`text` with each marked "%.15g" token turned into the JSON of the
+    float it rounds to; elsewhere the two are the same text."""
+    if "\0" not in text:
+        return text
+    return _JSON_FLOAT_FIX.sub(_json_float, text).replace("\0", "")
+
+
+def _json_members(fields: dict) -> str:
+    """The JSON of a dict without its braces: '  "a": 1,\\n  "b": 2.5'."""
+    template, kinds = _json_template(fields)
+    text = "".join(_format(template, kinds, _JSON_CONVERT, [tuple(_leaves(fields))]))
+    return _json_floats(text)[2:-2]
+
+
 def write_json(table: Table, out: TextIO) -> None:
     """Write the bytes of json.dumps(doc, indent=2) + "\\n" for
-    doc = {**head, key: list(rows), **tail}, one chunk of rows at a time."""
-
-    def members(fields: dict) -> str:
-        return json.dumps(fields, indent=2)[2:-2]  # '{\n  "a": 1\n}' -> '  "a": 1'
-
-    out.write(f"{{\n{members(table.head)},\n  {json.dumps(table.key)}: [")
-    separator, rows = "\n", iter(table.rows)
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        # Rows sit one level deeper in the document than in the chunk's list.
-        body = json.dumps(chunk, indent=2)[2:-2].replace("\n", "\n  ")
-        out.write(f"{separator}  {body}")
-        separator = ",\n"
-    out.write("]" if separator == "\n" else "\n  ]")
+    doc = {**head, key: rows as dicts, **tail}, with every float rounded to
+    15 significant digits, one chunk of rows at a time."""
+    out.write(f"{{\n{_json_members(table.head)},\n  {json.dumps(table.key)}: [")
+    # Rows sit two levels deep in the document, each after ",\n".
+    template, kinds = _json_template(table.shape, indent="    ")
+    empty = True
+    for text in _format(",\n    " + template, kinds, _JSON_CONVERT, table.rows):
+        out.write(_json_floats(text[1:] if empty else text))  # no comma before the first row
+        empty = False
+    out.write("]" if empty else "\n  ]")
     if table.tail:
-        out.write(",\n" + members(table.tail))
+        out.write(",\n" + _json_members(table.tail))
     out.write("\n}\n")
 
 
-def _cells(value) -> list[str]:
-    """CSV cells of one JSON value: lowercase booleans, 15-digit floats, a
-    flat list (an index tuple) as its digits run together, and a list of
-    lists (amplitude pairs) as one cell per number."""
-    if isinstance(value, bool):
-        return ["true" if value else "false"]
-    if isinstance(value, float):
-        return [f"{value:.15g}"]
-    if isinstance(value, list):
-        if value and isinstance(value[0], list):
-            return [f"{x:.15g}" for pair in value for x in pair]
-        return ["".join(map(str, value))]
-    return [str(value)]
+def _csv_field(text: str, lone: bool) -> str:
+    """`text` quoted as csv.writer quotes a field alone in its row, or among others."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([text] if lone else [text, ""])
+    return line.getvalue()[:-1 if lone else -2]
+
+
+def _csv_cells(value) -> list[tuple[str, list]]:
+    """The cells of one CSV column value, each as a %-template and its scalars."""
+    if not isinstance(value, list):
+        return [(_CSV_SLOTS[_kind(value)], [value])]
+    if value and isinstance(value[0], list):
+        return [("%.15g", [x]) for pair in value for x in pair]
+    if any(_kind(x) is not int for x in value):
+        raise TypeError(f"a flat list cell holds ints, got {value!r}")
+    return [("%d" * len(value), value)]
+
+
+def _csv_template(table: Table, columns: Sequence[str]) -> tuple[str, list[type], dict]:
+    """One CSV line of `table` as a %-template of a row's values, with the
+    head-only columns baked in as text; its slot kinds; its converters."""
+    shape = table.shape
+    if [column for column in columns if column in shape] != list(shape):
+        raise ValueError("the CSV columns must name every row field, in row order")
+    cells = [(column in shape, template, leaves) for column in columns
+             for template, leaves in _csv_cells(shape[column] if column in shape
+                                                else table.head[column])]
+    convert = {bool: _BOOL_TEXT.__getitem__,
+               str: functools.partial(_csv_field, lone=len(cells) == 1)}
+    texts, kinds = [], []
+    for in_row, template, leaves in cells:
+        cell_kinds = [_kind(leaf) for leaf in leaves]
+        if in_row:
+            kinds += cell_kinds
+        else:
+            template = "".join(_format(template, cell_kinds, convert, [tuple(leaves)]))
+            template = template.replace("%", "%%")
+        texts.append(template)
+    if texts == [""]:  # csv.writer quotes a lone empty field, which would read as a blank line
+        texts = ['""']
+    return ",".join(texts) + "\n", kinds, convert
 
 
 def write_csv(table: Table, out: TextIO) -> None:
-    """Write the header line, then one line per row."""
-    head, columns = table.head, table.columns
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(table.header or columns)
-    writer.writerows(
-        [cell for c in columns for cell in _cells(row[c] if c in row else head[c])]
-        for row in table.rows
-    )
+    """Write the header line, then one line per row, one chunk of rows at a time."""
+    columns = table.columns or tuple(table.shape)
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(table.header or columns)
+    out.write(header.getvalue())
+    for text in _format(*_csv_template(table, columns), table.rows):
+        out.write(text)
 
 
 def _point(args: argparse.Namespace) -> dict:
-    return {"theta": _fmt(args.theta), "phi": _fmt(args.phi)}
+    return {"theta": args.theta, "phi": args.phi}
 
 
 def cmd_basis(args: argparse.Namespace, params: SjmParams) -> Table:
     basis = multi_sjm_basis(args.n, params)
-
-    def amplitudes(state: np.ndarray) -> list[list[float]]:
-        # _fmt of every part, but by one %-operation: 1.4x faster per state.
-        text = "%.15g " * (2 * len(state)) % tuple(state.view(float).tolist())
-        parts = iter(map(float, text.split()))
-        return [[re, im] for re, im in zip(parts, parts)]
-
-    rows = ({"index": list(ks), "amplitudes": amplitudes(s)}
-            for ks, s in zip(basis.index_tuples(), basis.states))
+    rows = ((*ks, *state.view(float).tolist())
+            for ks, state in zip(basis.index_tuples(), basis.states))
     return Table(
-        head={"command": "basis", "n": args.n, **_point(args)}, key="states", rows=rows,
-        columns=("index", "amplitudes"),
+        head={"command": "basis", "n": args.n, **_point(args)}, key="states",
+        shape={"index": [0] * (args.n // 2), "amplitudes": [[0.0, 0.0]] * 2**args.n}, rows=rows,
         header=["index"] + [f"amp{i}_{p}" for i in range(2**args.n) for p in ("re", "im")],
     )
 
 
 def cmd_verify(args: argparse.Namespace, params: SjmParams) -> Table:
-    report = [{"name": name, "residual": _fmt(r), "tolerance": tol, "pass": r <= tol}
+    report = [(name, r, tol, r <= tol)
               for name, r, tol in multi_invariant_residuals(args.n, params)]
-    all_pass = all(entry["pass"] for entry in report)
+    all_pass = all(passed for *_, passed in report)
     return Table(
-        head={"command": "verify", **_point(args), "n": args.n},
-        key="invariants", rows=report, columns=("name", "residual", "tolerance", "pass"),
+        head={"command": "verify", **_point(args), "n": args.n}, key="invariants",
+        shape={"name": "", "residual": 0.0, "tolerance": 0.0, "pass": False}, rows=report,
         tail={"all_pass": all_pass}, code=0 if all_pass else 1,
     )
 
@@ -221,15 +340,13 @@ def cmd_circuit(args: argparse.Namespace, params: SjmParams) -> Table:
     report = verify_discrimination(circuit, sjm_basis(params))
     return Table(
         head={"command": "circuit", **_point(args), "circuit": circuit_to_dict(circuit)},
-        key="mappings", rows=[
-            {"state": m.state_index, "target": m.target_index, "target_bits": m.target_bits,
-             "magnitude": _fmt(m.magnitude), "phase": _fmt(m.phase)}
-            for m in report.mappings
-        ],
-        columns=("state", "target", "target_bits", "magnitude", "phase"),
+        key="mappings",
+        shape={"state": 0, "target": 0, "target_bits": "", "magnitude": 0.0, "phase": 0.0},
+        rows=[(m.state_index, m.target_index, m.target_bits, m.magnitude, m.phase)
+              for m in report.mappings],
         tail={"targets_distinct": report.targets_distinct,
-              "max_magnitude_error": _fmt(report.max_magnitude_error),
-              "reference_sign_residual": _fmt(report.reference_sign_residual),
+              "max_magnitude_error": report.max_magnitude_error,
+              "reference_sign_residual": report.reference_sign_residual,
               "pass": report.passed}, code=0 if report.passed else 1,
     )
 
@@ -237,10 +354,10 @@ def cmd_circuit(args: argparse.Namespace, params: SjmParams) -> Table:
 def cmd_network(args: argparse.Namespace, params: SjmParams) -> Table:
     if args.mode == "scan":
         return Table(
-            head={"command": "network-scan", "phi": _fmt(args.phi), "grid_steps": args.grid_steps,
-                  "bound": _fmt(TRILOCAL_BOUND)},
-            key="points", rows=(
-                {"theta": _fmt(r.theta), "p_same": _fmt(r.p_same), "violates": r.violates}
+            head={"command": "network-scan", "phi": args.phi, "grid_steps": args.grid_steps,
+                  "bound": TRILOCAL_BOUND},
+            key="points", shape={"theta": 0.0, "p_same": 0.0, "violates": False}, rows=(
+                (r.theta, r.p_same, r.violates)
                 for r in nonlocality_scan(np.linspace(0.0, math.pi / 2, args.grid_steps), args.phi)
             ),
             columns=("theta", "p_same", "bound", "violates"),
@@ -253,13 +370,10 @@ def cmd_network(args: argparse.Namespace, params: SjmParams) -> Table:
     )
     ok = residual <= 1e-10
     return Table(
-        head={"command": "network-table", **_point(args)},
-        key="outcomes", rows=(
-            {"a": a, "b": b, "c": c, "probability": _fmt(dist.prob(a, b, c))}
-            for a, b, c in outcomes
-        ),
-        columns=("a", "b", "c", "probability"), code=0 if ok else 1,
-        tail={"total": _fmt(dist.total()), "closed_form_residual": _fmt(residual), "pass": ok},
+        head={"command": "network-table", **_point(args)}, key="outcomes",
+        shape={"a": 0, "b": 0, "c": 0, "probability": 0.0},
+        rows=((a, b, c, dist.prob(a, b, c)) for a, b, c in outcomes), code=0 if ok else 1,
+        tail={"total": dist.total(), "closed_form_residual": residual, "pass": ok},
     )
 
 
@@ -267,29 +381,26 @@ def cmd_curve(args: argparse.Namespace, params: SjmParams) -> Table:
     thetas = np.linspace(0.0, math.pi / 2, args.grid_steps + 1)
     sjm_rows, ejm_rows = (concurrence_curve(family, thetas) for family in ("sjm", "ejm-family"))
     return Table(
-        head={"command": "curve", "grid_steps": args.grid_steps},
-        key="points", rows=(
-            {"theta": _fmt(theta), "c_sjm": _fmt(c_sjm), "c_ejm_family": _fmt(c_ejm),
-             "c_original_ejm": 0.5}
-            for (theta, c_sjm), (_, c_ejm) in zip(sjm_rows, ejm_rows)
-        ),
-        columns=("theta", "c_sjm", "c_ejm_family", "c_original_ejm"),
+        head={"command": "curve", "grid_steps": args.grid_steps}, key="points",
+        shape={"theta": 0.0, "c_sjm": 0.0, "c_ejm_family": 0.0, "c_original_ejm": 0.0},
+        rows=((theta, c_sjm, c_ejm, 0.5) for (theta, c_sjm), (_, c_ejm) in zip(sjm_rows, ejm_rows)),
     )
 
 
 def cmd_multiqubit(args: argparse.Namespace, params: SjmParams) -> Table:
+    pairs = args.n // 2
     residual = multi_gram_bound(args.n, params)
     ok = residual <= 1e-10
-    vectors = multi_reduction_vectors(args.n, params).tolist()
-    # Each state's index list is made as its rows stream out, not all up front.
-    rows = ({"index": ks, "position": position, "x": _fmt(x), "y": _fmt(y), "z": _fmt(z)}
-            for ks, state in zip(map(np.ndarray.tolist, _index_array(args.n // 2)), vectors)
-            for position, (x, y, z) in enumerate(state))
-    gram = {"residual": _fmt(residual)}
+    vectors = multi_reduction_vectors(args.n, params)
+    # Each state's index list and vectors become Python objects as its rows
+    # stream out, not all up front (about 10 MB at n = 12).
+    rows = ((*ks, position, *xyz)
+            for ks, state in zip(map(np.ndarray.tolist, _index_array(pairs)), vectors)
+            for position, xyz in enumerate(state.tolist()))
     return Table(
-        head={"command": "multiqubit", "n": args.n, **_point(args), "gram": gram},
-        key="reductions", rows=rows, columns=("index", "position", "x", "y", "z"),
-        tail={"pass": ok}, code=0 if ok else 1,
+        head={"command": "multiqubit", "n": args.n, **_point(args), "gram": {"residual": residual}},
+        key="reductions", shape={"index": [0] * pairs, "position": 0, "x": 0.0, "y": 0.0, "z": 0.0},
+        rows=rows, tail={"pass": ok}, code=0 if ok else 1,
     )
 
 

@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-from .analysis import (aligned_tetrahedron_residual, bloch_vector, concurrence,
-                       multi_reduction_closed_form, reduction_vectors, rotation_symmetry_residual,
-                       sjm_concurrence_closed_form, zero_sum_residual)
+from .analysis import (_rotation_residual, _zero_sum_residual, aligned_tetrahedron_residual,
+                       bloch_vector, concurrence, multi_reduction_closed_form, reduction_vectors,
+                       sjm_concurrence_closed_form)
 from .bases import (_COMPONENT_NORM, _EIGHTH_TURN, JointBasis, SjmParams, _components,
                     _index_array, _pair_matrices_of, _state_index, _symmetrize, ejm_aligned,
                     original_ejm_basis, pair_matrices,  # pair_matrices: re-exported
@@ -144,11 +144,27 @@ def multi_reduction_vector(basis: JointBasis, ks: tuple[int, ...], position: int
     return bloch_vector(partial_trace(basis.state_for(ks), position))
 
 
+def _aligned_rows() -> tuple[tuple[str, float, float], ...]:
+    """The `verify` rows at the aligned point (pi/2, pi/4), which do not
+    depend on the point verified."""
+    ejm, aligned = original_ejm_basis().states, sjm_basis(ejm_aligned()).states
+    return (
+        ("aligned_ejm_orthogonality_residual",
+         max(abs(inner(ejm[j], aligned[(j + 1) % 4])) for j in range(4)), 1e-10),
+        ("aligned_tetrahedron_residual", aligned_tetrahedron_residual(), 1e-10),
+    )
+
+
+# Computed once, at import: no later patch of the library can change them.
+_ALIGNED_ROWS = _aligned_rows()
+
+
 def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, float, float]]:
     """Every invariant at `params` as (name, residual, tolerance), in the order
     `sjm verify` reports them: the two-qubit basis, the aligned point, then the
-    n-qubit basis, certified from its pair matrices.  The components, (F, S)
-    and the basis are built once; `sjm_state` stays the independent oracle."""
+    n-qubit basis, certified from its pair matrices.  The components, (F, S),
+    the basis and its reduction vectors are built once, and the aligned rows
+    at import; `sjm_state` stays the independent oracle."""
     pairs = _pairs(n)
     components = _components(params)
     forward, swapped = _pair_matrices_of(components)
@@ -164,7 +180,7 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
         return np.array([[multi_reduction_closed_form(k, params, m, q) for q in range(m)]
                          for k in ks])
 
-    ejm, aligned = original_ejm_basis().states, sjm_basis(ejm_aligned()).states
+    vectors = reduction_vectors(basis.states)
     positions = np.arange(n)
     return [
         ("orthonormality_residual", worst(gram, np.eye(4)), 1e-10),
@@ -180,13 +196,10 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
          max(abs(inner(m0, m1) - 1.0 / math.sqrt(2.0)) for m0, m1 in components), 1e-12),
         ("concurrence_residual",
          worst(concurrence(basis.states), sjm_concurrence_closed_form(params.theta)), 1e-10),
-        ("reduction_closed_form_residual",
-         worst(reduction_vectors(basis.states), closed(2)), 1e-10),
-        ("rotational_symmetry_residual", rotation_symmetry_residual(basis), 1e-10),
-        ("zero_sum_residual", zero_sum_residual(basis), 1e-10),
-        ("aligned_ejm_orthogonality_residual",
-         max(abs(inner(ejm[j], aligned[(j + 1) % 4])) for j in ks), 1e-10),
-        ("aligned_tetrahedron_residual", aligned_tetrahedron_residual(), 1e-10),
+        ("reduction_closed_form_residual", worst(vectors, closed(2)), 1e-10),
+        ("rotational_symmetry_residual", _rotation_residual(vectors, params), 1e-10),
+        ("zero_sum_residual", _zero_sum_residual(vectors), 1e-10),
+        *_ALIGNED_ROWS,
         ("multi_two_qubit_match_residual",
          worst(basis.states, np.array([sjm_state(k, params) for k in ks])), 1e-12),
         ("aux_orthogonality_residual",

@@ -1,6 +1,7 @@
 """End-to-end tests driving the command-line interface through ``main``."""
 
 import contextlib
+import csv
 import importlib
 import io
 import json
@@ -13,6 +14,7 @@ import tempfile
 import time
 import traceback
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,17 +26,17 @@ import sjm.cli
 import sjm.linalg
 import sjm.multiqubit
 import sjm.network
-from sjm.bases import component_state, ejm_aligned
+from sjm.analysis import aligned_tetrahedron_residual
+from sjm.bases import _fmt, component_state, ejm_aligned
 from sjm.circuit import build_sjm_circuit, circuit_from_dict
+from sjm.linalg import partial_trace
 from sjm.cli import (
-    _CHUNK_ROWS,
     GRID_STEPS_CAP,
     Table,
-    _cells,
-    _fmt,
     build_parser,
     main,
     params_from_args,
+    write_csv,
     write_json,
 )
 
@@ -467,47 +469,182 @@ def test_benchmark_argv_uses_only_accepted_flags(monkeypatch):
                 params_from_args(parser.parse_args(op.argv))
 
 
-JSON_SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.text(max_size=5)
-    | st.floats(allow_nan=False, allow_infinity=False)
+# Floats where "%.15g" text and the JSON of the float it rounds to part ways
+# or nearly do: zeros, subnormals, the fixed/exponent switch at 1e-4 and
+# 1e15/1e16, integer values, the top of the range, NaN and the infinities.
+FLOATS = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-5, 9.99999999999999e-5,
+                       1e-4, 1e15, -1e15, 999999999999999.9, 1.5e15, 1e16, 1.0, -3.0,
+                       1.7976931348623157e308, math.nan, math.inf, -math.inf])
+    | st.floats(-1e-300, 1e-300) | st.floats(1e-6, 1e-3) | st.floats(-1e17, -1e14)
+    | st.floats(1e14, 1e17) | st.integers(-10**15, 10**15).map(float)
 )
+TEXT = st.text(st.sampled_from('%,"\n\r é€\0a1') | st.characters(), max_size=4)
+SCALARS = {"float": FLOATS, "int": st.integers(), "bool": st.booleans(), "str": TEXT}
+PLACEHOLDERS = {"float": 0.0, "int": 0, "bool": False, "str": ""}
+# A row field: a scalar, an index list of ints, or a list of amplitude pairs.
+FIELD_KINDS = (st.sampled_from(list(SCALARS))
+               | st.tuples(st.just("index"), st.integers(0, 3))
+               | st.tuples(st.just("pairs"), st.integers(1, 3)))
 JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    st.one_of(*SCALARS.values()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
     max_leaves=8,
 )
-FIELDS = st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3)
-ROWS = st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3)
-CHUNK_EDGES = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    head=FIELDS,
-    rows=st.lists(ROWS, min_size=1, max_size=4),
-    count=st.sampled_from(CHUNK_EDGES),
-    tail=FIELDS,
-)
-def test_write_json_matches_json_dumps(head, rows, count, tail):
-    rows = [rows[i % len(rows)] for i in range(count)]  # on both sides of chunk boundaries
-    # Distinct keys, so the document is exactly head, rows, then tail.
-    head = {"h" + k: v for k, v in head.items()} | {"command": "x"}
-    tail = {"t" + k: v for k, v in tail.items()}
+def _placeholder(kind):
+    if kind in PLACEHOLDERS:
+        return PLACEHOLDERS[kind]
+    name, size = kind
+    return [0] * size if name == "index" else [[0.0, 0.0]] * size
+
+
+def _field_values(kind):
+    if kind in SCALARS:
+        return SCALARS[kind]
+    name, size = kind
+    if name == "index":
+        return st.lists(st.integers(), min_size=size, max_size=size)
+    return st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=size, max_size=size)
+
+
+def _flat(value) -> list:
+    """A row field's values in document order."""
+    if not isinstance(value, list):
+        return [value]
+    return [x for item in value for x in _flat(item)]
+
+
+def _rounded(value):
+    """`value` with every float rounded as the CLI prints it."""
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return _fmt(value) if isinstance(value, float) else value
+
+
+@st.composite
+def tables(draw):
+    """A random Table, the rows as dicts, and its CSV columns."""
+    # Prefixes keep the row fields, head, CSV-only and tail keys apart.
+    kinds = {"r" + k: v for k, v in draw(st.dictionaries(TEXT, FIELD_KINDS, max_size=4)).items()}
+    values = st.tuples(*map(_field_values, kinds.values()))
+    rows = [dict(zip(kinds, row)) for row in draw(st.lists(values, max_size=5))]
+    head = {"command": "x"} | {"h" + k: v for k, v in
+                                 draw(st.dictionaries(TEXT, JSON_VALUES, max_size=3)).items()}
+    tail = {"t" + k: v for k, v in draw(st.dictionaries(TEXT, JSON_VALUES, max_size=3)).items()}
+    # CSV: head-only scalar and index-list columns interleaved with the row fields.
+    extra = draw(st.dictionaries(TEXT.map(lambda k: "c" + k),
+                                 st.one_of(*SCALARS.values(), st.lists(st.integers(), max_size=3)),
+                                 max_size=2))
+    head |= extra
+    columns = list(kinds)
+    for name in extra:
+        columns.insert(draw(st.integers(0, len(columns))), name)
+    table = Table(head=head, key="rows", shape={k: _placeholder(kind) for k, kind in kinds.items()},
+                  rows=[tuple(x for v in row.values() for x in _flat(v)) for row in rows],
+                  columns=columns, header=draw(st.none() | st.lists(TEXT, max_size=3)) or (),
+                  tail=tail)
+    return table, rows, columns
+
+
+CHUNK_VALUES = st.sampled_from([1, 2, 5, 4096])
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=tables(), chunk=CHUNK_VALUES)
+def test_write_json_matches_json_dumps(drawn, chunk):
+    table, rows, _ = drawn
     out = io.StringIO()
-    write_json(Table(head=head, key="rows", rows=iter(rows), columns=(), tail=tail), out)
-    assert out.getvalue() == json.dumps({**head, "rows": rows, **tail}, indent=2) + "\n"
+    with mock.patch.object(sjm.cli, "_CHUNK_VALUES", chunk):  # rows on both sides of chunk edges
+        write_json(table, out)
+    # Distinct keys: the document is exactly head, rows, then tail.
+    doc = {**table.head, "rows": rows, **table.tail}
+    assert out.getvalue() == json.dumps(_rounded(doc), indent=2) + "\n"
+
+
+def _cells(value) -> list[str]:
+    """CSV cells of one value as the csv.writer route wrote them: lowercase
+    booleans, 15-digit floats, a flat list as its digits run together, and a
+    list of lists (amplitude pairs) as one cell per number."""
+    if isinstance(value, bool):
+        return ["true" if value else "false"]
+    if isinstance(value, float):
+        return [f"{value:.15g}"]
+    if isinstance(value, list):
+        if value and isinstance(value[0], list):
+            return [f"{x:.15g}" for pair in value for x in pair]
+        return ["".join(map(str, value))]
+    return [str(value)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=tables(), chunk=CHUNK_VALUES)
+def test_write_csv_matches_csv_writer(drawn, chunk):
+    table, rows, columns = drawn
+    out = io.StringIO()
+    with mock.patch.object(sjm.cli, "_CHUNK_VALUES", chunk):
+        write_csv(table, out)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(table.header or columns)
+    writer.writerows(
+        [cell for c in columns for cell in _cells(row[c] if c in row else table.head[c])]
+        for row in rows
+    )
+    assert out.getvalue() == expected.getvalue()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(x=FLOATS)
+def test_json_float_is_the_json_of_its_rounded_value(x):
+    out = io.StringIO()
+    write_json(Table(head={"command": "x", "v": x}, key="rows", shape={"v": 0.0}, rows=[(x,)]), out)
+    assert out.getvalue() == json.dumps({"command": "x", "v": _fmt(x), "rows": [{"v": _fmt(x)}]},
+                                        indent=2) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
 @given(x=st.floats(-1e308, 1e308))
 def test_csv_cell_of_rounded_float_is_its_15_digit_form(x):
-    # Rows carry floats already rounded by _fmt; the CSV cell must still be
-    # exactly the 15-significant-digit form of the unrounded value.  (Above
-    # 1.79769313486231e308 the rounding overflows to inf; the CLI's values
-    # are amplitudes, probabilities, angles and residuals, all far below.)
-    assert _cells(_fmt(x)) == [f"{x:.15g}"]
-    assert _cells([[_fmt(x), _fmt(-x)]]) == [f"{x:.15g}", f"{-x:.15g}"]
+    # The CSV cell of a float, alone or in an amplitude pair, is exactly the
+    # 15-significant-digit form of the value, rounded by _fmt first or not.
+    # (Above 1.79769313486231e308 the rounding overflows to inf; the CLI's
+    # values are amplitudes, probabilities, angles and residuals, all far below.)
+    def line(v: float) -> str:
+        out = io.StringIO()
+        write_csv(Table(head={"command": "x"}, key="rows", shape={"v": 0.0, "pair": [[0.0, 0.0]]},
+                        rows=[(v, v, -v)]), out)
+        return out.getvalue().split("\n")[1]
+
+    assert line(x) == line(_fmt(x)) == f"{x:.15g},{x:.15g},{-x:.15g}"
+
+
+@pytest.mark.parametrize("row, head", [
+    ({"s": ""}, {}), ({"s": "a,b"}, {}), ({"i": []}, {}), ({}, {"s": ""}), ({}, {"i": []}),
+    ({"s": "", "t": ""}, {}),
+])
+def test_csv_lone_empty_field_is_quoted(row, head):
+    # csv.writer writes a row of one empty field as "", not as a blank line.
+    columns = list(row) + list(head)
+    out = io.StringIO()
+    write_csv(Table(head={"command": "x", **head}, key="rows", shape=row,
+                    rows=[tuple(x for v in row.values() for x in _flat(v))], columns=columns), out)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerow([cell for c in columns for cell in _cells({**row, **head}[c])])
+    assert out.getvalue() == expected.getvalue()
+
+
+def test_csv_columns_must_follow_the_row_fields():
+    table = Table(head={"command": "x"}, key="rows", shape={"a": 0, "b": 0}, rows=[(1, 2)],
+                  columns=("b", "a"))
+    with pytest.raises(ValueError, match="row order"):
+        write_csv(table, io.StringIO())
 
 
 def _stdout(argv) -> tuple[int, str]:
@@ -577,6 +714,47 @@ def test_verify_builds_its_components_once(monkeypatch):
     assert code == 0
     assert len(json.loads(out)["invariants"]) == 16
     assert counts == {"_components": 1, "component_state": 16}
+
+
+def test_verify_gathers_its_reduction_vectors_once(monkeypatch):
+    # One (4, 2, 3) array of marginals serves the reduction, rotation and
+    # zero-sum rows; the aligned-point rows were computed at import.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return partial_trace(*args)
+
+    monkeypatch.setattr(sjm.analysis, "partial_trace", counted)
+    code, _ = _stdout(["verify", "--theta", "0.7", "--phi=-1.3"])
+    assert code == 0
+    assert len(calls) == 8
+
+
+ALIGNED_ROWS = ("aligned_ejm_orthogonality_residual", "aligned_tetrahedron_residual")
+
+
+def _aligned_residuals(out: str) -> dict:
+    return {e["name"]: e["residual"] for e in json.loads(out)["invariants"]
+            if e["name"] in ALIGNED_ROWS}
+
+
+def test_aligned_rows_do_not_follow_a_patched_library(monkeypatch):
+    # The rows at (pi/2, pi/4) are computed once, at import, so no cache
+    # can pick up a patched component_state and serve it to later calls.
+    argv = ["verify", "--theta", "0.7", "--phi=-1.3"]
+    before = _aligned_residuals(_stdout(argv)[1])
+    assert before["aligned_tetrahedron_residual"] == _fmt(aligned_tetrahedron_residual())
+
+    def perturbed(k, slot, params):
+        state = component_state(k, slot, params)
+        return state * (1.0 + 1e-6) if (k, slot) == (2, 1) else state
+
+    monkeypatch.setattr(sjm.bases, "component_state", perturbed)
+    assert _fmt(aligned_tetrahedron_residual()) != before["aligned_tetrahedron_residual"]
+    assert _aligned_residuals(_stdout(argv)[1]) == before
+    monkeypatch.undo()
+    assert _aligned_residuals(_stdout(argv)[1]) == before
 
 
 def test_verify_and_multiqubit_never_build_the_dense_basis(monkeypatch):
