@@ -47,11 +47,6 @@ def _checked_angle(value: float, low: float, high: float, message: str) -> float
     raise ValueError(f"{message}: {value}")
 
 
-def _fmt(x: float) -> float:
-    """Round a float to 15 significant digits for emission."""
-    return float(f"{x:.15g}")
-
-
 @dataclass(frozen=True)
 class SjmParams:
     """Angles (radians) selecting one symmetric joint measurement."""

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bases import JointBasis, SjmParams, _fmt
+from .bases import JointBasis, SjmParams
 from .linalg import PAULI_X, apply_gate, num_qubits
 
 TOL_CIRCUIT = 1e-8
@@ -227,12 +227,12 @@ def circuit_to_dict(circuit: GateCircuit) -> dict:
     """JSON-ready description: ordered gates with kinds, args, and wires."""
     doc: dict = {"num_qubits": circuit.num_qubits}
     if circuit.params is not None:
-        doc["theta"] = _fmt(circuit.params.theta)
-        doc["phi"] = _fmt(circuit.params.phi)
+        doc["theta"] = circuit.params.theta
+        doc["phi"] = circuit.params.phi
     doc["gates"] = [
         {
             "kind": op.kind.value,
-            "args": [_fmt(a) for a in op.args],
+            "args": list(op.args),
             "controls": list(op.controls),
             "targets": list(op.targets),
         }

@@ -36,7 +36,7 @@ from .analysis import concurrence_curve
 from .bases import SjmParams, _index_array, sjm_basis
 from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
 from .multiqubit import (
-    multi_gram_bound, multi_invariant_residuals, multi_reduction_vectors, multi_sjm_basis,
+    _basis_rows, multi_gram_bound, multi_invariant_residuals, multi_reduction_vectors,
 )
 from .network import TRILOCAL_BOUND, closed_form_probability, joint_distribution, nonlocality_scan
 
@@ -314,9 +314,10 @@ def _point(args: argparse.Namespace) -> dict:
 
 
 def cmd_basis(args: argparse.Namespace, params: SjmParams) -> Table:
-    basis = multi_sjm_basis(args.n, params)
+    # The states stream out a block at a time: the dense basis is never held.
+    states = _basis_rows(args.n, params)
     rows = ((*ks, *state.view(float).tolist())
-            for ks, state in zip(basis.index_tuples(), basis.states))
+            for ks, state in zip(_index_array(args.n // 2).tolist(), states))
     return Table(
         head={"command": "basis", "n": args.n, **_point(args)}, key="states",
         shape={"index": [0] * (args.n // 2), "amplitudes": [[0.0, 0.0]] * 2**args.n}, rows=rows,

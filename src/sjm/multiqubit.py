@@ -6,12 +6,13 @@ across all pairs at once.  Orthonormality rests on the identity
 <m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}> = delta_{jk}, made transparent by two
 auxiliary orthonormal single-qubit bases.  Each state is a sum of two
 product states over the pairs, so the Gram check and the reductions work
-from the 4x4 pair matrices alone; only `multi_sjm_basis` is dense (2^n).
+from the 4x4 pair matrices alone; only `_basis_rows` makes dense (2^n) states.
 `multi_invariant_residuals` is the list of invariants `sjm verify` prints.
 """
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .linalg import PAULIS, completeness_residual, gram_matrix, inner, partial_t
 # Dimension 4096 keeps the dense construction interactive; a config
 # constant, not an algorithmic limit.
 N_CAP = 12
+_BLOCK_HEADS = 16  # index prefixes per block of dense states: 64 states, 4 MB at n = 12
 
 
 def aux_state(which: int, sign: int, phi: float) -> np.ndarray:
@@ -68,16 +70,23 @@ def _pairs(n: int) -> int:
     return n // 2
 
 
-def multi_sjm_basis(n: int, params: SjmParams) -> JointBasis:
-    """Build the dense n-qubit basis (n even, 2 <= n <= 12)."""
+def _basis_rows(n: int, params: SjmParams) -> Iterator[np.ndarray]:
+    """The dense n-qubit states in index order, a block at a time (n is checked
+    at the call).  Prefixes a..b-1 give the rows of kron(F^{(x)(P-1)}[a:b], F),
+    and likewise for S: the products of `tensor`'s left fold, bit for bit."""
     pairs = _pairs(n)
     forward, swapped = pair_matrices(params)
-    # Rows are written in place: at n = 12 the array alone is 268 MB, and a
-    # Kronecker power of F and S would hold several arrays of that size.
-    states = np.empty((4**pairs, 2**n), dtype=complex)
-    for row, ks in enumerate(_index_array(pairs).tolist()):
-        states[row] = _symmetrize(params.theta, tensor(*(forward[k] for k in ks)),
-                                  tensor(*(swapped[k] for k in ks)))
+    if pairs == 1:  # F^{(x)0} is no factor at all: the states are F and S symmetrized
+        return iter(_symmetrize(params.theta, forward, swapped))
+    heads = tensor(*[forward] * (pairs - 1)), tensor(*[swapped] * (pairs - 1))
+    return (state for a in range(0, 4**(pairs - 1), _BLOCK_HEADS)
+            for state in _symmetrize(params.theta, np.kron(heads[0][a:a + _BLOCK_HEADS], forward),
+                                     np.kron(heads[1][a:a + _BLOCK_HEADS], swapped)))
+
+
+def multi_sjm_basis(n: int, params: SjmParams) -> JointBasis:
+    """Build the dense n-qubit basis (n even, 2 <= n <= 12)."""
+    states = np.fromiter(_basis_rows(n, params), np.dtype((complex, 2**n)), 4**(n // 2))
     return JointBasis(states, params)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sjm.bases import SjmParams, ejm_aligned, sjm_basis
@@ -213,6 +213,22 @@ def test_json_roundtrip():
 def test_json_roundtrip_random_point(theta, phi):
     circuit = build_sjm_circuit(SjmParams(theta, phi))
     assert circuit_from_json(circuit_to_json(circuit)).isclose(circuit)
+
+
+def _float_bits(circuit: GateCircuit) -> list[str]:
+    """theta, phi and every gate arg of `circuit`, each as its exact bits."""
+    values = (circuit.params.theta, circuit.params.phi, *(a for op in circuit.ops for a in op.args))
+    return [value.hex() for value in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=THETAS, phi=PHIS)
+@example(theta=0.7, phi=-1.2)  # the arg pi/2 - 0.7 = 0.8707963267948966 needs 16 digits
+def test_json_roundtrip_gives_back_every_float_bit_for_bit(theta, phi):
+    circuit = build_sjm_circuit(SjmParams(theta, phi))
+    parsed = circuit_from_json(circuit_to_json(circuit))
+    assert _float_bits(parsed) == _float_bits(circuit)
+    assert parsed.ops == circuit.ops
 
 
 def test_roundtrip_without_params():

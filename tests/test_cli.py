@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import traceback
 from pathlib import Path
 from unittest import mock
@@ -27,7 +28,7 @@ import sjm.linalg
 import sjm.multiqubit
 import sjm.network
 from sjm.analysis import aligned_tetrahedron_residual
-from sjm.bases import _fmt, component_state, ejm_aligned
+from sjm.bases import component_state, ejm_aligned
 from sjm.circuit import build_sjm_circuit, circuit_from_dict
 from sjm.linalg import partial_trace
 from sjm.cli import (
@@ -39,6 +40,11 @@ from sjm.cli import (
     write_csv,
     write_json,
 )
+
+
+def _fmt(x: float) -> float:
+    """`x` rounded to 15 significant digits, the value the CLI prints."""
+    return float(f"{x:.15g}")
 
 
 def run_cli(capsys, *argv):
@@ -761,8 +767,13 @@ def test_verify_and_multiqubit_never_build_the_dense_basis(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense path reached")
 
+    # Every dense state, in `multi_sjm_basis` and in `basis`, comes from _basis_rows.
     for module in (sjm.multiqubit, sjm.cli):
-        monkeypatch.setattr(module, "multi_sjm_basis", forbidden)
+        monkeypatch.setattr(module, "_basis_rows", forbidden)
+    with pytest.raises(AssertionError, match="dense path reached"):
+        sjm.multiqubit.multi_sjm_basis(4, sjm.bases.SjmParams(0.5, 0.1))
+    with pytest.raises(AssertionError, match="dense path reached"):
+        main(["basis", "--n", "4"])
     # The multiqubit layer's partial traces; the two-qubit invariants in
     # `analysis` keep theirs, on 4-amplitude states.
     for module in (sjm.multiqubit, sjm.linalg):
@@ -772,6 +783,23 @@ def test_verify_and_multiqubit_never_build_the_dense_basis(monkeypatch):
         code, out = _stdout(argv)
         assert code == 0
         assert out
+
+
+def test_basis_streams_without_holding_the_dense_basis(tmp_path):
+    # The n = 10 basis is 4**5 states of 2**10 complex amplitudes, 16.8 MB;
+    # `basis` streams its states a block at a time and never holds them all.
+    dense_bytes = 4**5 * 2**10 * 16
+    path = tmp_path / "basis.csv"
+    tracemalloc.start()
+    try:
+        code = main(["basis", "--n", "10", "--format", "csv", "--output", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < dense_bytes
+    with path.open(encoding="utf-8") as lines:
+        assert sum(1 for _ in lines) == 1 + 4**5
 
 
 @pytest.mark.parametrize("flag", ["theta-frac", "phi-frac"])

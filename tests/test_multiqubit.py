@@ -93,8 +93,8 @@ def test_two_pair_case_reduces_to_joint_basis():
 @settings(max_examples=50, deadline=None)
 @given(theta=THETAS, phi=PHIS)
 def test_two_qubit_case_is_bit_equal_to_joint_basis(theta, phi):
-    # `sjm basis` emits multi_sjm_basis at every n, so n = 2 must match
-    # sjm_basis bit for bit.
+    # `sjm basis` emits the rows multi_sjm_basis is built from, at every n,
+    # so n = 2 must match sjm_basis bit for bit.
     params = SjmParams(theta, phi)
     assert np.array_equal(multi_sjm_basis(2, params).states, sjm_basis(params).states)
 
@@ -116,6 +116,43 @@ def test_pair_matrix_bases_equal_the_per_state_oracle(theta, phi):
     assert np.array_equal(multi_sjm_basis(2, params).states, oracle)
     match = {name: r for name, r, _ in multi_invariant_residuals(2, params)}
     assert match["multi_two_qubit_match_residual"] == 0.0
+
+
+def _row_loop(n: int, params: SjmParams):
+    """The dense states one at a time, each by `tensor` over its pairs: the
+    oracle of the Kronecker-block construction."""
+    forward, swapped = pair_matrices(params)
+    mix = np.exp(1j * params.theta)
+    for ks in itertools.product(range(4), repeat=n // 2):
+        yield 0.5 * ((1.0 + mix) * tensor(*(forward[k] for k in ks))
+                     + (1.0 - mix) * tensor(*(swapped[k] for k in ks)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from((2, 4, 6, 8, 10)),
+       theta=st.one_of(st.sampled_from((0.0, math.pi / 2)), THETAS),
+       phi=st.one_of(st.sampled_from((-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi)), PHIS))
+@example(n=2, theta=0.0, phi=0.0)
+@example(n=2, theta=0.0, phi=-math.pi)
+@example(n=4, theta=0.0, phi=math.pi / 2)
+@example(n=6, theta=math.pi / 2, phi=-math.pi / 2)
+@example(n=8, theta=0.0, phi=math.pi)
+@example(n=10, theta=0.7, phi=-1.3)
+@example(n=10, theta=math.pi / 2, phi=math.pi / 4)
+def test_basis_rows_equal_the_row_loop_bit_for_bit(n, theta, phi):
+    params = SjmParams(theta, phi)
+    oracle = np.array(list(_row_loop(n, params)))
+    assert np.array(list(sjm.multiqubit._basis_rows(n, params))).tobytes() == oracle.tobytes()
+    assert multi_sjm_basis(n, params).states.tobytes() == oracle.tobytes()
+
+
+def test_basis_rows_equal_the_row_loop_at_n_12():
+    # Row by row, so the test never holds the 268 MB basis.
+    params = SjmParams(0.7, -1.3)
+    rows = sjm.multiqubit._basis_rows(12, params)
+    for count, (expected, state) in enumerate(zip(_row_loop(12, params), rows), 1):
+        assert state.tobytes() == expected.tobytes(), count
+    assert count == 4**6 and next(rows, None) is None
 
 
 @pytest.mark.parametrize("n", (2, 4, 6))
@@ -155,8 +192,9 @@ def test_basis_size_and_ordering():
 def test_invalid_sizes_rejected():
     params = SjmParams(0.5, 0.1)
     for n in (1, 3, 7, 0, 14, -2):
-        for build in (multi_sjm_basis, multi_gram_bound, multi_reduction_vectors,
-                      multi_invariant_residuals):
+        # _basis_rows checks n at the call, not at its first row.
+        for build in (sjm.multiqubit._basis_rows, multi_sjm_basis, multi_gram_bound,
+                      multi_reduction_vectors, multi_invariant_residuals):
             with pytest.raises(ValueError):
                 build(n, params)
 
