@@ -169,21 +169,19 @@ def aligned_tetrahedron_residual() -> float:
                      np.abs(edges - math.sqrt(2.0)).max()))
 
 
-def concurrence_curve(
-    family: str, thetas: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Numeric concurrence along theta for one of the two state families.
+def concurrence_curve(family: str, thetas: Sequence[float]) -> np.ndarray:
+    """Numeric concurrence at each theta of a grid, as one array, for one of
+    the two state families.
 
     family is "sjm" (the basis states, all four share one value) or
     "ejm-family" (the interpolating family).  The closed forms
     `sjm_concurrence_closed_form` and `ejm_family_concurrence_closed_form`
     are the independent oracles the tests compare these values against.
     """
-    thetas = [float(theta) for theta in thetas]
     if family == "sjm":
         states = sjm_basis_sweep(thetas, 0.0)[:, 0]
     elif family == "ejm-family":
         states = ejm_family_state(np.array(thetas, dtype=float), (ket("0"), ket("1")))
     else:
         raise ValueError(f"unknown family {family!r}")
-    return list(zip(thetas, concurrence(states).tolist()))
+    return concurrence(states)

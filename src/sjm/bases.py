@@ -47,6 +47,11 @@ def _checked_angle(value: float, low: float, high: float, message: str) -> float
     raise ValueError(f"{message}: {value}")
 
 
+def _checked_theta(theta: float) -> float:
+    """theta, range-checked and snapped onto [0, pi/2]."""
+    return _checked_angle(theta, 0.0, math.pi / 2, "theta out of range [0, pi/2]")
+
+
 @dataclass(frozen=True)
 class SjmParams:
     """Angles (radians) selecting one symmetric joint measurement."""
@@ -55,11 +60,7 @@ class SjmParams:
     phi: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "theta",
-            _checked_angle(self.theta, 0.0, math.pi / 2, "theta out of range [0, pi/2]"),
-        )
+        object.__setattr__(self, "theta", _checked_theta(self.theta))
         object.__setattr__(
             self,
             "phi",
@@ -203,10 +204,10 @@ def sjm_basis_sweep(thetas: Sequence[float], phi: float) -> np.ndarray:
     """The basis at every theta of a grid at one phi, as one array of shape
     (len(thetas), 4, 4) indexed [theta, state, amplitude], from a single
     `pair_matrices` call.  Each theta is checked and snapped as `SjmParams`
-    does, and row t equals sjm_basis(SjmParams(thetas[t], phi)).states bit
-    for bit (the tests hold it to that).
+    does, and phi is checked once.  Row t equals
+    sjm_basis(SjmParams(thetas[t], phi)).states bit for bit (the tests hold it to that).
     """
-    snapped = [SjmParams(float(theta), phi).theta for theta in thetas]
+    snapped = [_checked_theta(float(theta)) for theta in thetas]
     column = np.array(snapped, dtype=float)[:, None, None]  # broadcasts over [state, amplitude]
     return _symmetrize(column, *pair_matrices(SjmParams(0.0, phi)))
 

@@ -33,15 +33,15 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .analysis import concurrence_curve
-from .bases import SjmParams, _index_array, sjm_basis
+from .bases import SjmParams, _index_array, ejm_aligned, sjm_basis
 from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
 from .multiqubit import (
-    _basis_rows, multi_gram_bound, multi_invariant_residuals, multi_reduction_vectors,
+    TOL_GRAM, _basis_rows, multi_gram_bound, multi_invariant_residuals, multi_reduction_vectors,
 )
 from .network import TRILOCAL_BOUND, closed_form_probability, joint_distribution, nonlocality_scan
 
-DEFAULT_THETA = math.pi / 2
-DEFAULT_PHI = math.pi / 4
+# With no angle flags a command runs at the point of the original elegant joint measurement.
+DEFAULT_THETA, DEFAULT_PHI = ejm_aligned().theta, ejm_aligned().phi
 # Largest --grid-steps: about 1.5 s of `network scan` on one core.
 GRID_STEPS_CAP = 65536
 # Largest |e| in an angle fraction (Fraction expands 10**e): Python's int digit limit.
@@ -354,13 +354,13 @@ def cmd_circuit(args: argparse.Namespace, params: SjmParams) -> Table:
 
 def cmd_network(args: argparse.Namespace, params: SjmParams) -> Table:
     if args.mode == "scan":
+        thetas = np.linspace(0.0, math.pi / 2, args.grid_steps)
+        p_same, violates = nonlocality_scan(thetas, args.phi)
         return Table(
             head={"command": "network-scan", "phi": args.phi, "grid_steps": args.grid_steps,
                   "bound": TRILOCAL_BOUND},
-            key="points", shape={"theta": 0.0, "p_same": 0.0, "violates": False}, rows=(
-                (r.theta, r.p_same, r.violates)
-                for r in nonlocality_scan(np.linspace(0.0, math.pi / 2, args.grid_steps), args.phi)
-            ),
+            key="points", shape={"theta": 0.0, "p_same": 0.0, "violates": False},
+            rows=zip(thetas.tolist(), p_same.tolist(), violates.tolist()),
             columns=("theta", "p_same", "bound", "violates"),
         )
     dist = joint_distribution(params)
@@ -380,18 +380,18 @@ def cmd_network(args: argparse.Namespace, params: SjmParams) -> Table:
 
 def cmd_curve(args: argparse.Namespace, params: SjmParams) -> Table:
     thetas = np.linspace(0.0, math.pi / 2, args.grid_steps + 1)
-    sjm_rows, ejm_rows = (concurrence_curve(family, thetas) for family in ("sjm", "ejm-family"))
+    c_sjm, c_ejm = (concurrence_curve(family, thetas) for family in ("sjm", "ejm-family"))
     return Table(
         head={"command": "curve", "grid_steps": args.grid_steps}, key="points",
         shape={"theta": 0.0, "c_sjm": 0.0, "c_ejm_family": 0.0, "c_original_ejm": 0.0},
-        rows=((theta, c_sjm, c_ejm, 0.5) for (theta, c_sjm), (_, c_ejm) in zip(sjm_rows, ejm_rows)),
+        rows=zip(thetas.tolist(), c_sjm.tolist(), c_ejm.tolist(), itertools.repeat(0.5)),
     )
 
 
 def cmd_multiqubit(args: argparse.Namespace, params: SjmParams) -> Table:
     pairs = args.n // 2
     residual = multi_gram_bound(args.n, params)
-    ok = residual <= 1e-10
+    ok = residual <= TOL_GRAM
     vectors = multi_reduction_vectors(args.n, params)
     # Each state's index list and vectors become Python objects as its rows
     # stream out, not all up front (about 10 MB at n = 12).

@@ -29,6 +29,8 @@ from .linalg import PAULIS, completeness_residual, gram_matrix, inner, partial_t
 # constant, not an algorithmic limit.
 N_CAP = 12
 _BLOCK_HEADS = 16  # index prefixes per block of dense states: 64 states, 4 MB at n = 12
+# Largest accepted n-qubit Gram bound, in `multiqubit` and `verify` (multi_gram_residual).
+TOL_GRAM = 1e-10
 
 
 def aux_state(which: int, sign: int, phi: float) -> np.ndarray:
@@ -209,6 +211,8 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
         ("rotational_symmetry_residual", _rotation_residual(vectors, params), 1e-10),
         ("zero_sum_residual", _zero_sum_residual(vectors), 1e-10),
         *_ALIGNED_ROWS,
+        # sjm_state rebuilds each state from the same components: this row
+        # catches a symmetrizer bug, never a component error.
         ("multi_two_qubit_match_residual",
          worst(basis.states, np.array([sjm_state(k, params) for k in ks])), 1e-12),
         ("aux_orthogonality_residual",
@@ -216,7 +220,7 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
         ("overlap_product_residual",
          max(abs(_overlap_product(components[j], components[k]) - float(j == k))
              for j in ks for k in ks), 1e-12),
-        ("multi_gram_residual", _gram_bound(pairs, params.theta, forward, swapped), 1e-10),
+        ("multi_gram_residual", _gram_bound(pairs, params.theta, forward, swapped), TOL_GRAM),
         ("multi_reduction_residual",
          worst(_reduction_vectors(pairs, params.theta, forward, swapped),
                closed(n)[_index_array(pairs)[:, positions // 2], positions]), 1e-10),

@@ -134,31 +134,17 @@ def threshold_theta() -> float:
     return math.asin(math.sqrt(15.0 / 28.0))
 
 
-@dataclass(frozen=True)
-class NonlocalityReport:
-    """One scan point: agreement probability against the trilocal bound."""
-
-    theta: float
-    p_same: float
-    bound: float
-    violates: bool
-
-
-def nonlocality_scan(thetas, phi: float = math.pi / 4) -> list[NonlocalityReport]:
-    """Evaluate p(a=b=c) along theta at fixed phi and flag bound violations.
+def nonlocality_scan(thetas, phi: float = math.pi / 4) -> tuple[np.ndarray, np.ndarray]:
+    """p(a=b=c) along theta at fixed phi, and where it exceeds the trilocal
+    bound: two arrays over the grid, (p_same, p_same > TRILOCAL_BOUND + 1e-12).
 
     Every basis on the grid comes from one `sjm_basis_sweep` call, and only
     the diagonal amplitudes <k k k|network> are contracted.  The four
     probabilities are added left to right, as `OutcomeDistribution.p_same`
     sums them, so each value equals p_same_outcome at its point bit for bit.
     """
-    thetas = [float(theta) for theta in thetas]
     m = sjm_basis_sweep(thetas, phi).conj()
     amps = np.einsum("tka,tkb,tkc,abc->tk", m, m, m, TRIANGLE_STATE.reshape(4, 4, 4))
     probs = np.abs(amps) ** 2
     p_same = ((probs[:, 0] + probs[:, 1]) + probs[:, 2]) + probs[:, 3]
-    return [
-        NonlocalityReport(theta=theta, p_same=p, bound=TRILOCAL_BOUND,
-                          violates=p > TRILOCAL_BOUND + 1e-12)
-        for theta, p in zip(thetas, p_same.tolist())
-    ]
+    return p_same, p_same > TRILOCAL_BOUND + 1e-12

@@ -105,7 +105,7 @@ def test_criterion_2_concurrence():
     checks.append(("endpoint C(pi/2)", abs(endpoint_high - 0.5), 1e-10))
     family = concurrence_curve("ejm-family", THETA_GRID)
     worst_family = max(
-        abs(c - ejm_family_concurrence_closed_form(t)) for t, c in family
+        abs(c - ejm_family_concurrence_closed_form(t)) for t, c in zip(THETA_GRID, family.tolist())
     )
     checks.append(("interpolating family curve", worst_family, 1e-10))
     _report(2, "concurrence", checks)
@@ -233,16 +233,16 @@ def test_criterion_6_network():
     uniform = joint_distribution(SjmParams(0.0, 0.6))
     checks.append(("product-point uniformity", float(np.abs(uniform.probs - 1 / 64).max()), 1e-10))
     thetas = np.linspace(0.0, math.pi / 2, 64)
-    reports = nonlocality_scan(thetas)
-    flags = [r.violates for r in reports]
+    p_same, violates = nonlocality_scan(thetas)
+    flags = violates.tolist()
     first = flags.index(True)
     step = float(thetas[1] - thetas[0])
-    bracket_error = reports[first].theta - threshold_theta()
+    bracket_error = float(thetas[first]) - threshold_theta()
     checks.append(("scan brackets threshold (above)", bracket_error, step))
     checks.append(("scan brackets threshold (below)", -bracket_error, 0.0))
     checks.append(
         ("below-threshold points stay bounded", max(
-            (r.p_same - TRILOCAL_BOUND) for r in reports[:first]
+            (p - TRILOCAL_BOUND) for p in p_same[:first].tolist()
         ), 0.0)
     )
     _report(6, "network", checks)

@@ -192,13 +192,13 @@ def test_aligned_tetrahedra():
 
 def test_concurrence_curve_families():
     thetas = np.linspace(0.0, math.pi / 2, 9)
-    sjm_rows = concurrence_curve("sjm", thetas)
-    ejm_rows = concurrence_curve("ejm-family", thetas)
-    assert len(sjm_rows) == len(ejm_rows) == 9
-    assert sjm_rows[0][1] == pytest.approx(0.0, abs=1e-12)
-    assert sjm_rows[-1][1] == pytest.approx(0.5, abs=1e-12)
-    assert ejm_rows[0][1] == pytest.approx(0.5, abs=1e-12)
-    assert ejm_rows[-1][1] == pytest.approx(1.0, abs=1e-12)
+    c_sjm = concurrence_curve("sjm", thetas)
+    c_ejm = concurrence_curve("ejm-family", thetas)
+    assert c_sjm.shape == c_ejm.shape == (9,)
+    assert c_sjm[0] == pytest.approx(0.0, abs=1e-12)
+    assert c_sjm[-1] == pytest.approx(0.5, abs=1e-12)
+    assert c_ejm[0] == pytest.approx(0.5, abs=1e-12)
+    assert c_ejm[-1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         concurrence_curve("bell", thetas)
 
@@ -220,9 +220,9 @@ def test_concurrence_determinant_route_matches_purity_route(theta, phi, k):
 @settings(max_examples=60, deadline=None)
 @given(thetas=st.lists(THETAS, min_size=1, max_size=5))
 def test_concurrence_curve_matches_closed_forms(thetas):
-    for theta, value in concurrence_curve("sjm", thetas):
+    for theta, value in zip(thetas, concurrence_curve("sjm", thetas)):
         assert abs(value - math.sin(theta) / 2.0) <= 1e-10
-    for theta, value in concurrence_curve("ejm-family", thetas):
+    for theta, value in zip(thetas, concurrence_curve("ejm-family", thetas)):
         assert abs(value - 0.5 * math.sqrt(1.0 + 3.0 * math.sin(theta) ** 2)) <= 1e-10
 
 
@@ -244,10 +244,10 @@ CURVE_THETAS = st.one_of(
 @given(thetas=CURVE_THETAS)
 def test_concurrence_curve_equals_pointwise_concurrence_bit_for_bit(thetas):
     pair = (ket("0"), ket("1"))
-    sjm_rows = concurrence_curve("sjm", thetas)
-    ejm_rows = concurrence_curve("ejm-family", thetas)
-    assert [t for t, _ in sjm_rows] == [t for t, _ in ejm_rows] == [float(t) for t in thetas]
-    for theta, (_, c_sjm), (_, c_ejm) in zip(thetas, sjm_rows, ejm_rows):
+    sjm_values = concurrence_curve("sjm", thetas).tolist()
+    ejm_values = concurrence_curve("ejm-family", thetas).tolist()
+    assert len(sjm_values) == len(ejm_values) == len(thetas)
+    for theta, c_sjm, c_ejm in zip(thetas, sjm_values, ejm_values):
         state = sjm_basis(SjmParams(theta, 0.0)).states[0]
         assert type(c_sjm) is float and c_sjm == concurrence(state) == _determinant_route(state)
         state = ejm_family_state(theta, pair)

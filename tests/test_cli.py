@@ -17,6 +17,7 @@ import traceback
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -454,25 +455,60 @@ def test_sweeps_never_build_a_basis_or_network_state_per_theta(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-theta construction reached")
 
+    class CountedParams(sjm.bases.SjmParams):
+        built = 0
+
+        def __post_init__(self):
+            CountedParams.built += 1
+            super().__post_init__()
+
     for module in (sjm.bases, sjm.network, sjm.analysis):
         monkeypatch.setattr(module, "sjm_basis", forbidden)
     monkeypatch.setattr(sjm.network, "triangle_state", forbidden)
+    monkeypatch.setattr(sjm.bases, "SjmParams", CountedParams)
     for argv in (["network", "scan", "--grid-steps", "64", "--phi=0.3"],
                  ["curve", "--grid-steps", "64", "--format", "csv"]):
+        CountedParams.built = 0
         code, out = _stdout(argv)
         assert code == 0
         assert out
+        # The sweep checks phi once, in the one SjmParams it builds for (F, S).
+        assert CountedParams.built <= 1, argv
+
+
+def _perfbench(monkeypatch, name: str):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    return importlib.import_module(name)
 
 
 def test_benchmark_argv_uses_only_accepted_flags(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    workloads = importlib.import_module("workloads")
+    workloads = _perfbench(monkeypatch, "workloads")
     parser = build_parser()
     for name in workloads.WORKLOADS:
         for size in workloads.SIZES:
             stream = workloads.OpStream(name, seed=1, size=size)
             for op in [stream.warmup] + stream.next_cycle():
                 params_from_args(parser.parse_args(op.argv))
+
+
+BENCHMARK_WORKLOADS = ("two-qubit-points", "theta-sweep", "multiqubit-certify", "dense-export")
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_benchmark_full_size_cycle_passes_its_oracle(monkeypatch, tmp_path, workload):
+    # One cycle at the size the benchmark measures, run as its child runs an
+    # op (stdout sent to a file), then read back through its output oracle.
+    workloads = _perfbench(monkeypatch, "workloads")
+    child, oracle = _perfbench(monkeypatch, "child"), _perfbench(monkeypatch, "oracle")
+    assert sorted(workloads.WORKLOADS) == sorted(BENCHMARK_WORKLOADS)
+    rng = np.random.default_rng(1)
+    for i, op in enumerate(workloads.OpStream(workload, seed=1, size="full").next_cycle()):
+        path = tmp_path / f"op{i}.out"
+        with open(path, "w", encoding="utf-8") as sink:
+            code, _, error = child.run_op(sjm.cli, op, sink)
+        assert (code, error) == (0, None), op.argv
+        oracle.check(op, code, path.read_text(encoding="utf-8"), rng)
+        path.unlink()
 
 
 # Floats where "%.15g" text and the JSON of the float it rounds to part ways

@@ -179,20 +179,20 @@ def test_threshold_bracketed_by_fine_grid():
 
 def test_scan_flags_and_bracket():
     thetas = np.linspace(0, math.pi / 2, 64)
-    reports = nonlocality_scan(thetas)
-    assert len(reports) == 64
-    assert not reports[0].violates
-    assert reports[-1].violates
-    flags = [r.violates for r in reports]
+    p_same, violates = nonlocality_scan(thetas)
+    assert p_same.shape == violates.shape == (64,)
+    assert p_same.dtype == np.float64 and violates.dtype == np.bool_
+    assert not violates[0]
+    assert violates[-1]
+    flags = violates.tolist()
     first = flags.index(True)
     # The first flagged angle sits within one grid step of the true threshold.
     step = thetas[1] - thetas[0]
-    assert 0 < reports[first].theta - threshold_theta() <= step
+    assert 0 < thetas[first] - threshold_theta() <= step
     assert not any(flags[:first])
     assert all(flags[first:])
-    for r in reports:
-        assert r.bound == TRILOCAL_BOUND
-        assert r.violates == (r.p_same > TRILOCAL_BOUND + 1e-12)
+    for p, flag in zip(p_same.tolist(), flags):
+        assert flag == (p > TRILOCAL_BOUND + 1e-12)
 
 
 def test_distribution_validation():
@@ -218,9 +218,8 @@ SCAN_THETAS = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(thetas=SCAN_THETAS, phi=st.floats(-math.pi, math.pi))
 def test_scan_equals_pointwise_p_same_bit_for_bit(thetas, phi):
-    reports = nonlocality_scan(thetas, phi)
-    assert len(reports) == len(thetas)
-    for report, theta in zip(reports, thetas):
-        assert report.theta == float(theta)
-        assert type(report.p_same) is float
-        assert report.p_same == p_same_outcome(SjmParams(float(theta), phi))
+    p_same, violates = nonlocality_scan(thetas, phi)
+    assert len(p_same) == len(violates) == len(thetas)
+    for p, theta in zip(p_same.tolist(), thetas):
+        assert type(p) is float
+        assert p == p_same_outcome(SjmParams(float(theta), phi))
