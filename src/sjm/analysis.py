@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bases import (JointBasis, SjmParams, cos_k_pi, ejm_aligned, ejm_family_state, sjm_basis,
-                    sjm_basis_sweep)
+from .bases import (JointBasis, SjmParams, _theta_grid, cos_k_pi, ejm_aligned, ejm_family_state,
+                    sjm_basis, sjm_basis_sweep)
 from .linalg import PAULIS, ket, num_qubits, partial_trace
 
 TOL_AXIS = 1e-10
@@ -181,7 +181,7 @@ def concurrence_curve(family: str, thetas: Sequence[float]) -> np.ndarray:
     if family == "sjm":
         states = sjm_basis_sweep(thetas, 0.0)[:, 0]
     elif family == "ejm-family":
-        states = ejm_family_state(np.array(thetas, dtype=float), (ket("0"), ket("1")))
+        states = ejm_family_state(_theta_grid(thetas), (ket("0"), ket("1")))
     else:
         raise ValueError(f"unknown family {family!r}")
     return concurrence(states)

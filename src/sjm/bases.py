@@ -195,21 +195,41 @@ def pair_matrices(params: SjmParams) -> tuple[np.ndarray, np.ndarray]:
 def _pair_matrices_of(
     components: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(F, S) from the component pairs (m_{k,0}, m_{k,1}), k = 0..3."""
-    return (np.array([tensor(m0, m1) for m0, m1 in components]),
-            np.array([tensor(m1, m0) for m0, m1 in components]))
+    """(F, S) from the component pairs (m_{k,0}, m_{k,1}), k = 0..3, as
+    broadcast outer products: the bits of `tensor` row by row."""
+    first, second = np.array(components).swapaxes(0, 1)  # each [k, amplitude]
+    return ((first[:, :, None] * second[:, None, :]).reshape(4, 4),
+            (second[:, :, None] * first[:, None, :]).reshape(4, 4))
 
 
 def sjm_basis_sweep(thetas: Sequence[float], phi: float) -> np.ndarray:
     """The basis at every theta of a grid at one phi, as one array of shape
     (len(thetas), 4, 4) indexed [theta, state, amplitude], from a single
     `pair_matrices` call.  Each theta is checked and snapped as `SjmParams`
-    does, and phi is checked once.  Row t equals
-    sjm_basis(SjmParams(thetas[t], phi)).states bit for bit (the tests hold it to that).
+    does, a grid that is not 1-D raises ValueError, and phi is checked once.
+    Row t equals sjm_basis(SjmParams(thetas[t], phi)).states bit for bit (the
+    tests hold it to that).
     """
-    snapped = [_checked_theta(float(theta)) for theta in thetas]
-    column = np.array(snapped, dtype=float)[:, None, None]  # broadcasts over [state, amplitude]
+    column = _checked_thetas(thetas)[:, None, None]  # broadcasts over [state, amplitude]
     return _symmetrize(column, *pair_matrices(SjmParams(0.0, phi)))
+
+
+def _theta_grid(thetas: Sequence[float]) -> np.ndarray:
+    """thetas as a new 1-D float array; any other shape raises ValueError."""
+    grid = np.array(thetas, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"theta grid must be 1-D, got shape {grid.shape}")
+    return grid
+
+
+def _checked_thetas(thetas: Sequence[float]) -> np.ndarray:
+    """A 1-D theta grid as a new float array, each value checked and snapped
+    as `_checked_theta` does: values in [0, pi/2] (-0.0 among them) are kept
+    as one array, and only the rest go through `_checked_theta`, in order."""
+    grid = _theta_grid(thetas)
+    outside = ~((grid >= 0.0) & (grid <= math.pi / 2))
+    grid[outside] = [_checked_theta(theta) for theta in grid[outside].tolist()]
+    return grid
 
 
 def sjm_overlap_closed_form(j: int, k: int, params: SjmParams) -> float:

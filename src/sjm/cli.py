@@ -42,7 +42,7 @@ from .network import TRILOCAL_BOUND, closed_form_probability, joint_distribution
 
 # With no angle flags a command runs at the point of the original elegant joint measurement.
 DEFAULT_THETA, DEFAULT_PHI = ejm_aligned().theta, ejm_aligned().phi
-# Largest --grid-steps: about 1.5 s of `network scan` on one core.
+# Largest --grid-steps: about 0.4 s of `network scan` on one core.
 GRID_STEPS_CAP = 65536
 # Largest |e| in an angle fraction (Fraction expands 10**e): Python's int digit limit.
 _EXPONENT_CAP = 4300

@@ -134,6 +134,27 @@ def threshold_theta() -> float:
     return math.asin(math.sqrt(15.0 / 28.0))
 
 
+def _diagonal_amplitudes(m: np.ndarray) -> np.ndarray:
+    """sum_abc m[t,k,a] m[t,k,b] m[t,k,c] psi[a,b,c] over the eight nonzero
+    entries of the network state psi, in C order, each term taken as
+    ((m_a m_b) m_c) psi_abc in real arithmetic: the bits of the 64-term
+    einsum (the tests' oracle), which numpy's complex `*` would not keep."""
+    psi = TRIANGLE_STATE.reshape(4, 4, 4)
+    re, im = (np.ascontiguousarray(np.moveaxis(part, 2, 0)) for part in (m.real, m.imag))
+    total_re = total_im = 0.0
+    for a, b, c in zip(*np.nonzero(psi)):
+        weight = psi[a, b, c].real
+        ab_re = re[a] * re[b] - im[a] * im[b]
+        ab_im = re[a] * im[b] + im[a] * re[b]
+        total_re = total_re + (ab_re * re[c] - ab_im * im[c]) * weight
+        total_im = total_im + (ab_re * im[c] + ab_im * re[c]) * weight
+    # Complex again, so `np.abs` rounds the modulus as it does the einsum's
+    # (`np.hypot` on the parts does not).
+    amps = np.empty(m.shape[:2], dtype=complex)
+    amps.real, amps.imag = total_re, total_im
+    return amps
+
+
 def nonlocality_scan(thetas, phi: float = math.pi / 4) -> tuple[np.ndarray, np.ndarray]:
     """p(a=b=c) along theta at fixed phi, and where it exceeds the trilocal
     bound: two arrays over the grid, (p_same, p_same > TRILOCAL_BOUND + 1e-12).
@@ -143,8 +164,6 @@ def nonlocality_scan(thetas, phi: float = math.pi / 4) -> tuple[np.ndarray, np.n
     probabilities are added left to right, as `OutcomeDistribution.p_same`
     sums them, so each value equals p_same_outcome at its point bit for bit.
     """
-    m = sjm_basis_sweep(thetas, phi).conj()
-    amps = np.einsum("tka,tkb,tkc,abc->tk", m, m, m, TRIANGLE_STATE.reshape(4, 4, 4))
-    probs = np.abs(amps) ** 2
+    probs = np.abs(_diagonal_amplitudes(sjm_basis_sweep(thetas, phi).conj())) ** 2
     p_same = ((probs[:, 0] + probs[:, 1]) + probs[:, 2]) + probs[:, 3]
     return p_same, p_same > TRILOCAL_BOUND + 1e-12

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sjm.multiqubit
-from sjm.analysis import multi_reduction_closed_form, symmetry_axis
+from sjm.analysis import concurrence_curve, multi_reduction_closed_form, symmetry_axis
 from sjm.bases import (
     EJM_PHI,
     PHI_OFFSETS,
     JointBasis,
     SjmParams,
+    _checked_theta,
+    _checked_thetas,
+    _components,
+    _pair_matrices_of,
     bell_psi_plus,
     component_state,
     cos_k_pi,
@@ -35,8 +40,10 @@ from sjm.linalg import (
     norm,
     orthonormality_residual,
     partial_trace,
+    tensor,
 )
 from sjm.multiqubit import pairwise_overlap_product
+from sjm.network import nonlocality_scan
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
@@ -303,6 +310,55 @@ def test_basis_sweep_checks_every_angle():
     for thetas, phi in (([0.1, math.pi / 2 + 1e-9], 0.0), ([-1e-9], 0.0), ([0.1], 3.2)):
         with pytest.raises(ValueError):
             sjm_basis_sweep(thetas, phi)
+
+
+# Values on either side of each endpoint: inside, snapped (1e-13 past), and
+# rejected (1e-9 past, far out, NaN).
+EDGE_THETAS = st.sampled_from([
+    0.0, -0.0, 1e-13, -1e-13, -1e-9, math.pi / 2, math.pi / 2 - 1e-13, math.pi / 2 + 1e-13,
+    math.pi / 2 + 1e-9, 2.0, -3.0, math.inf, math.nan,
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(thetas=st.lists(st.one_of(st.floats(0.0, math.pi / 2), EDGE_THETAS), max_size=20))
+def test_array_theta_check_equals_the_scalar_check_element_by_element(thetas):
+    try:
+        expected = np.array([_checked_theta(theta) for theta in thetas], dtype=float)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            _checked_thetas(thetas)
+        assert str(raised.value) == str(error)
+    else:
+        assert _checked_thetas(thetas).tobytes() == expected.tobytes()
+
+
+def test_theta_check_keeps_negative_zero_and_leaves_the_caller_grid_alone():
+    grid = np.array([-0.0, -1e-13, math.pi / 2 + 1e-13])
+    checked = _checked_thetas(grid)
+    assert math.copysign(1.0, checked[0]) == -1.0
+    assert checked.tolist() == [0.0, 0.0, math.pi / 2]
+    assert grid[1] == -1e-13
+
+
+@pytest.mark.parametrize("thetas, shape", [
+    (0.5, "()"), (np.array(0.5), "()"), (np.zeros((3, 2)), "(3, 2)"), ([[0.1], [0.2]], "(2, 1)"),
+])
+def test_theta_sweeps_reject_a_grid_that_is_not_1d(thetas, shape):
+    sweeps = (lambda: sjm_basis_sweep(thetas, 0.3), lambda: nonlocality_scan(thetas, 0.3),
+              lambda: concurrence_curve("sjm", thetas), lambda: concurrence_curve("ejm-family", thetas))
+    for sweep in sweeps:
+        with pytest.raises(ValueError, match=f"theta grid must be 1-D, got shape {re.escape(shape)}"):
+            sweep()
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=st.floats(-math.pi, math.pi))
+def test_pair_matrices_equal_the_tensor_rows_bit_for_bit(phi):
+    components = _components(SjmParams(0.0, phi))
+    forward, swapped = _pair_matrices_of(components)
+    assert forward.tobytes() == np.array([tensor(m0, m1) for m0, m1 in components]).tobytes()
+    assert swapped.tobytes() == np.array([tensor(m1, m0) for m0, m1 in components]).tobytes()
 
 
 def test_pair_matrices_are_one_function_reexported():

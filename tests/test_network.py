@@ -4,16 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sjm.bases import SjmParams, bell_psi_plus, ejm_aligned, sjm_basis
+from sjm.bases import SjmParams, bell_psi_plus, ejm_aligned, sjm_basis, sjm_basis_sweep
 from sjm.linalg import partial_trace, permute_qubits, tensor
 from sjm.network import (
     SOURCE_PERMUTATION,
     TRIANGLE_STATE,
     TRILOCAL_BOUND,
     OutcomeDistribution,
+    _diagonal_amplitudes,
     amplitude_closed_form,
     closed_form_probability,
     joint_distribution,
@@ -223,3 +224,34 @@ def test_scan_equals_pointwise_p_same_bit_for_bit(thetas, phi):
     for p, theta in zip(p_same.tolist(), thetas):
         assert type(p) is float
         assert p == p_same_outcome(SjmParams(float(theta), phi))
+
+
+def _assert_scan_is_the_einsum_bit_for_bit(thetas, phi):
+    """|<k k k|network>|^2 and p_same against the 64-term einsum, the oracle
+    of the scan's eight-term kernel."""
+    m = sjm_basis_sweep(thetas, phi).conj()
+    psi = TRIANGLE_STATE.reshape(4, 4, 4)
+    expected = np.abs(np.einsum("tka,tkb,tkc,abc->tk", m, m, m, psi)) ** 2
+    assert (np.abs(_diagonal_amplitudes(m)) ** 2).tobytes() == expected.tobytes()
+    p_same, _ = nonlocality_scan(thetas, phi)
+    summed = ((expected[:, 0] + expected[:, 1]) + expected[:, 2]) + expected[:, 3]
+    assert p_same.tobytes() == summed.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(thetas=st.one_of(st.lists(st.floats(0.0, math.pi / 2), max_size=300),
+                        st.integers(1, 3000).map(lambda k: np.linspace(0.0, math.pi / 2, k))),
+       phi=st.floats(-math.pi, math.pi))
+@example(thetas=[0.7], phi=0.0)
+@example(thetas=[0.0, math.pi / 2], phi=math.pi / 2)
+@example(thetas=[0.3, 1.1], phi=-math.pi / 2)
+@example(thetas=[math.pi / 2], phi=math.pi)
+@example(thetas=[0.0, 0.9], phi=-math.pi)
+def test_scan_kernel_equals_the_einsum_bit_for_bit(thetas, phi):
+    _assert_scan_is_the_einsum_bit_for_bit(thetas, phi)
+
+
+def test_scan_kernel_equals_the_einsum_past_the_iterator_buffer():
+    # 8193 points put 32772 (theta, state) pairs through the einsum, past the
+    # 8192-element buffer of numpy's iterator.
+    _assert_scan_is_the_einsum_bit_for_bit(np.linspace(0.0, math.pi / 2, 8193), 0.4)
