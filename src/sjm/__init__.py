@@ -9,7 +9,7 @@ from .analysis import (
     bloch_vector,
     concurrence,
     concurrence_curve,
-    ejm_family_concurrence_closed_form,
+    multi_reduction_closed_form,
     reduction_vector,
     rotation_about_axis,
     rotation_symmetry_residual,
@@ -42,8 +42,6 @@ from .circuit import (
     GateKind,
     GateOp,
     build_sjm_circuit,
-    circuit_from_json,
-    circuit_to_json,
     gate_matrix,
     verify_discrimination,
 )
@@ -58,83 +56,14 @@ from .linalg import (
 from .multiqubit import (
     aux_state,
     multi_gram_bound,
-    multi_reduction_closed_form,
-    multi_reduction_vector,
     multi_reduction_vectors,
     multi_sjm_basis,
-    pairwise_overlap_product,
 )
 from .network import (
     TRILOCAL_BOUND,
     OutcomeDistribution,
-    amplitude_closed_form,
     closed_form_probability,
     joint_distribution,
     nonlocality_scan,
-    outcome_amplitude,
-    p_same_outcome,
-    threshold_theta,
     triangle_state,
 )
-
-__all__ = [
-    "DiscriminationReport",
-    "EJM_PHI",
-    "GateCircuit",
-    "GateKind",
-    "GateOp",
-    "JointBasis",
-    "OutcomeDistribution",
-    "PHI_OFFSETS",
-    "SjmParams",
-    "TRILOCAL_BOUND",
-    "amplitude_closed_form",
-    "apply_gate",
-    "aux_state",
-    "bell_psi_plus",
-    "bloch_vector",
-    "build_sjm_circuit",
-    "circuit_from_json",
-    "circuit_to_json",
-    "closed_form_probability",
-    "component_state",
-    "concurrence",
-    "concurrence_curve",
-    "direction_state",
-    "ejm_aligned",
-    "ejm_family_concurrence_closed_form",
-    "ejm_family_state",
-    "gate_matrix",
-    "inner",
-    "joint_distribution",
-    "ket",
-    "multi_gram_bound",
-    "multi_reduction_closed_form",
-    "multi_reduction_vector",
-    "multi_reduction_vectors",
-    "multi_sjm_basis",
-    "nonlocality_scan",
-    "original_ejm_basis",
-    "original_ejm_state",
-    "outcome_amplitude",
-    "p_same_outcome",
-    "pair_matrices",
-    "pairwise_overlap_product",
-    "partial_trace",
-    "permute_qubits",
-    "reduction_vector",
-    "rotation_about_axis",
-    "rotation_symmetry_residual",
-    "sjm_basis",
-    "sjm_basis_sweep",
-    "sjm_concurrence_closed_form",
-    "sjm_overlap_closed_form",
-    "sjm_state",
-    "sjm_state_closed_form",
-    "symmetry_axis",
-    "tensor",
-    "threshold_theta",
-    "triangle_state",
-    "verify_discrimination",
-    "zero_sum_residual",
-]

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bases import (JointBasis, SjmParams, _theta_grid, cos_k_pi, ejm_aligned, ejm_family_state,
-                    sjm_basis, sjm_basis_sweep)
+from .bases import (SjmParams, _theta_grid, cos_k_pi, ejm_aligned, ejm_family_state, sjm_basis,
+                    sjm_basis_sweep)
 from .linalg import PAULIS, ket, num_qubits, partial_trace
 
 TOL_AXIS = 1e-10
@@ -75,11 +75,6 @@ def sjm_concurrence_closed_form(theta: float) -> float:
     return 0.5 * abs(math.sin(theta))
 
 
-def ejm_family_concurrence_closed_form(theta: float) -> float:
-    """Concurrence of the interpolating family: (1/2) sqrt(1 + 3 sin^2 theta)."""
-    return 0.5 * math.sqrt(1.0 + 3.0 * math.sin(theta) ** 2)
-
-
 def multi_reduction_closed_form(k: int, params: SjmParams, n: int, position: int) -> np.ndarray:
     """Closed-form Bloch vector of the reduction at one qubit position
     (0-based) of pair i = position // 2, whose direction index is k:
@@ -130,28 +125,18 @@ def reduction_vectors(states: np.ndarray) -> np.ndarray:
     return np.array([[reduction_vector(s, qubit) for qubit in (0, 1)] for s in states])
 
 
-def rotation_symmetry_residual(basis: JointBasis) -> float:
-    """Max deviation of R_pi(axis_k) v_k^(0) from v_k^(1) across the basis."""
-    if basis.params is None:
-        raise ValueError("rotation symmetry check needs a parameterized basis")
-    return _rotation_residual(reduction_vectors(basis.states), basis.params)
-
-
-def _rotation_residual(vectors: np.ndarray, params: SjmParams) -> float:
-    """`rotation_symmetry_residual` from the basis's `reduction_vectors`."""
+def rotation_symmetry_residual(vectors: np.ndarray, params: SjmParams) -> float:
+    """Max deviation of R_pi(axis_k) v_k^(0) from v_k^(1) across a basis at
+    `params`, from its `reduction_vectors`."""
     return max(
         float(np.abs(rotation_about_axis(v[0], symmetry_axis(k, params), math.pi) - v[1]).max())
         for k, v in enumerate(vectors)
     )
 
 
-def zero_sum_residual(basis: JointBasis) -> float:
-    """Max component of sum_k v_k over both marginals (0 for a valid basis)."""
-    return _zero_sum_residual(reduction_vectors(basis.states))
-
-
-def _zero_sum_residual(vectors: np.ndarray) -> float:
-    """`zero_sum_residual` from the basis's `reduction_vectors`."""
+def zero_sum_residual(vectors: np.ndarray) -> float:
+    """Max component of sum_k v_k over both marginals of a basis, from its
+    `reduction_vectors` (0 for a valid basis)."""
     return float(np.abs(vectors.sum(axis=0)).max())
 
 
@@ -174,9 +159,9 @@ def concurrence_curve(family: str, thetas: Sequence[float]) -> np.ndarray:
     the two state families.
 
     family is "sjm" (the basis states, all four share one value) or
-    "ejm-family" (the interpolating family).  The closed forms
-    `sjm_concurrence_closed_form` and `ejm_family_concurrence_closed_form`
-    are the independent oracles the tests compare these values against.
+    "ejm-family" (the interpolating family).  The tests compare these values
+    against the closed forms `sjm_concurrence_closed_form` and
+    `ejm_family_concurrence_closed_form` (in `tests/oracles.py`).
     """
     if family == "sjm":
         states = sjm_basis_sweep(thetas, 0.0)[:, 0]

@@ -8,7 +8,6 @@ measurement afterwards realizes the joint measurement.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -99,7 +98,7 @@ class GateCircuit:
 
     num_qubits: int
     ops: tuple[GateOp, ...]
-    params: SjmParams | None = None
+    params: SjmParams
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         if num_qubits(state) != self.num_qubits:
@@ -107,31 +106,6 @@ class GateCircuit:
         for op in self.ops:
             state = apply_gate(state, op.matrix(), op.wires)
         return state
-
-    def unitary(self) -> np.ndarray:
-        dim = 2**self.num_qubits
-        cols = [self.apply(np.eye(dim, dtype=complex)[:, j]) for j in range(dim)]
-        return np.column_stack(cols)
-
-    def isclose(self, other: "GateCircuit", tol: float = 1e-12) -> bool:
-        """Structural equality with gate args compared to a tolerance."""
-        if self.num_qubits != other.num_qubits or len(self.ops) != len(other.ops):
-            return False
-        for a, b in zip(self.ops, other.ops):
-            if (a.kind, a.controls, a.targets) != (b.kind, b.controls, b.targets):
-                return False
-            if len(a.args) != len(b.args):
-                return False
-            if any(abs(x - y) > tol for x, y in zip(a.args, b.args)):
-                return False
-        if (self.params is None) != (other.params is None):
-            return False
-        if self.params is not None:
-            if abs(self.params.theta - other.params.theta) > tol:
-                return False
-            if abs(self.params.phi - other.params.phi) > tol:
-                return False
-        return True
 
 
 def build_sjm_circuit(params: SjmParams) -> GateCircuit:
@@ -162,7 +136,6 @@ class StateMapping:
     state_index: int
     target_index: int
     target_bits: str
-    amplitude: complex
     magnitude: float
     phase: float
 
@@ -185,12 +158,10 @@ class DiscriminationReport:
 
 def verify_discrimination(circuit: GateCircuit, basis: JointBasis) -> DiscriminationReport:
     """Check that the circuit maps each basis state onto its own ket."""
-    if circuit.params is not None and basis.params is not None:
-        if circuit.params != basis.params:
-            raise ValueError(
-                f"parameter mismatch: circuit built at {circuit.params}, "
-                f"basis at {basis.params}"
-            )
+    if basis.params is not None and circuit.params != basis.params:
+        raise ValueError(
+            f"parameter mismatch: circuit built at {circuit.params}, basis at {basis.params}"
+        )
     if len(basis.states) != 4 or circuit.num_qubits != 2:
         raise ValueError("discrimination check needs a four-state two-qubit basis")
     mappings = []
@@ -204,7 +175,6 @@ def verify_discrimination(circuit: GateCircuit, basis: JointBasis) -> Discrimina
                 state_index=k,
                 target_index=target,
                 target_bits=format(target, "02b"),
-                amplitude=amp,
                 magnitude=abs(amp),
                 phase=float(np.angle(amp)),
             )
@@ -224,42 +194,19 @@ def verify_discrimination(circuit: GateCircuit, basis: JointBasis) -> Discrimina
 
 
 def circuit_to_dict(circuit: GateCircuit) -> dict:
-    """JSON-ready description: ordered gates with kinds, args, and wires."""
-    doc: dict = {"num_qubits": circuit.num_qubits}
-    if circuit.params is not None:
-        doc["theta"] = circuit.params.theta
-        doc["phi"] = circuit.params.phi
-    doc["gates"] = [
-        {
-            "kind": op.kind.value,
-            "args": list(op.args),
-            "controls": list(op.controls),
-            "targets": list(op.targets),
-        }
-        for op in circuit.ops
-    ]
-    return doc
-
-
-def circuit_from_dict(doc: dict) -> GateCircuit:
-    params = None
-    if "theta" in doc and "phi" in doc:
-        params = SjmParams(float(doc["theta"]), float(doc["phi"]))
-    ops = tuple(
-        GateOp(
-            kind=GateKind(gate["kind"]),
-            args=tuple(float(a) for a in gate.get("args", [])),
-            controls=tuple(int(c) for c in gate.get("controls", [])),
-            targets=tuple(int(t) for t in gate["targets"]),
-        )
-        for gate in doc["gates"]
-    )
-    return GateCircuit(num_qubits=int(doc["num_qubits"]), ops=ops, params=params)
-
-
-def circuit_to_json(circuit: GateCircuit) -> str:
-    return json.dumps(circuit_to_dict(circuit), indent=2)
-
-
-def circuit_from_json(text: str) -> GateCircuit:
-    return circuit_from_dict(json.loads(text))
+    """JSON-ready description: the angles, then the ordered gates with kinds,
+    args, and wires."""
+    return {
+        "num_qubits": circuit.num_qubits,
+        "theta": circuit.params.theta,
+        "phi": circuit.params.phi,
+        "gates": [
+            {
+                "kind": op.kind.value,
+                "args": list(op.args),
+                "controls": list(op.controls),
+                "targets": list(op.targets),
+            }
+            for op in circuit.ops
+        ],
+    }

@@ -48,10 +48,6 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def norm(state: np.ndarray) -> float:
-    return float(np.linalg.norm(state))
-
-
 def partial_trace(state: np.ndarray, keep: int | Sequence[int]) -> np.ndarray:
     """Reduced density matrix of the kept qubit(s), in the order given.
 
@@ -118,8 +114,3 @@ def completeness_residual(states: Sequence[np.ndarray]) -> float:
     v = np.asarray(states)
     proj = v.T @ v.conj()
     return float(np.abs(proj - np.eye(proj.shape[0])).max())
-
-
-def unitarity_residual(op: np.ndarray) -> float:
-    """Max absolute deviation of U^dag U from the identity."""
-    return float(np.abs(op.conj().T @ op - np.eye(op.shape[0])).max())

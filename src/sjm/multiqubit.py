@@ -16,14 +16,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .analysis import (_rotation_residual, _zero_sum_residual, aligned_tetrahedron_residual,
-                       bloch_vector, concurrence, multi_reduction_closed_form, reduction_vectors,
-                       sjm_concurrence_closed_form)
+from .analysis import (aligned_tetrahedron_residual, concurrence, multi_reduction_closed_form,
+                       reduction_vectors, rotation_symmetry_residual, sjm_concurrence_closed_form,
+                       zero_sum_residual)
 from .bases import (_COMPONENT_NORM, _EIGHTH_TURN, JointBasis, SjmParams, _components,
-                    _index_array, _pair_matrices_of, _state_index, _symmetrize, ejm_aligned,
-                    original_ejm_basis, pair_matrices,  # pair_matrices: re-exported
-                    sjm_basis, sjm_overlap_closed_form, sjm_state, sjm_state_closed_form)
-from .linalg import PAULIS, completeness_residual, gram_matrix, inner, partial_trace, tensor
+                    _index_array, _pair_matrices_of, _symmetrize, ejm_aligned, original_ejm_basis,
+                    pair_matrices, sjm_basis, sjm_overlap_closed_form, sjm_state,
+                    sjm_state_closed_form)
+from .linalg import PAULIS, completeness_residual, gram_matrix, inner, tensor
 
 # Dimension 4096 keeps the dense construction interactive; a config
 # constant, not an algorithmic limit.
@@ -54,15 +54,9 @@ def aux_state(which: int, sign: int, phi: float) -> np.ndarray:
 
 
 def _overlap_product(mj: tuple[np.ndarray, ...], mk: tuple[np.ndarray, ...]) -> complex:
-    """<m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}> of two component pairs."""
+    """<m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}> of two component pairs; equals
+    delta_{jk}, which is what makes the n-qubit Gram matrix the identity."""
     return inner(mj[0], mk[0]) * inner(mj[1], mk[1])
-
-
-def pairwise_overlap_product(j: int, k: int, params: SjmParams) -> complex:
-    """<m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}>; equals delta_{jk}, which is what
-    makes the n-qubit Gram matrix the identity."""
-    components = _components(params)
-    return _overlap_product(components[_state_index(j)], components[_state_index(k)])
 
 
 def _pairs(n: int) -> int:
@@ -147,14 +141,6 @@ def _reduction_vectors(pairs: int, theta: float, forward: np.ndarray,
     return vectors.reshape(4**pairs, 2 * pairs, 3)
 
 
-def multi_reduction_vector(basis: JointBasis, ks: tuple[int, ...], position: int) -> np.ndarray:
-    """Bloch vector of one reduction of the dense state (qubit position 0-based),
-    by partial trace: the independent oracle of `multi_reduction_vectors`."""
-    if not 0 <= position < basis.n:
-        raise ValueError(f"position {position} out of range for n={basis.n}")
-    return bloch_vector(partial_trace(basis.state_for(ks), position))
-
-
 def _aligned_rows() -> tuple[tuple[str, float, float], ...]:
     """The `verify` rows at the aligned point (pi/2, pi/4), which do not
     depend on the point verified."""
@@ -208,8 +194,8 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
         ("concurrence_residual",
          worst(concurrence(basis.states), sjm_concurrence_closed_form(params.theta)), 1e-10),
         ("reduction_closed_form_residual", worst(vectors, closed(2)), 1e-10),
-        ("rotational_symmetry_residual", _rotation_residual(vectors, params), 1e-10),
-        ("zero_sum_residual", _zero_sum_residual(vectors), 1e-10),
+        ("rotational_symmetry_residual", rotation_symmetry_residual(vectors, params), 1e-10),
+        ("zero_sum_residual", zero_sum_residual(vectors), 1e-10),
         *_ALIGNED_ROWS,
         # sjm_state rebuilds each state from the same components: this row
         # catches a symmetrizer bug, never a component error.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import SjmParams, bell_psi_plus, cos_k_pi, sjm_basis, sjm_basis_sweep
+from .bases import SjmParams, bell_psi_plus, sjm_basis, sjm_basis_sweep
 from .linalg import permute_qubits, tensor
 
 # Largest p(a=b=c) any model with three independent local sources can reach.
@@ -61,13 +61,6 @@ class OutcomeDistribution:
         """Probability that all three outcomes coincide."""
         return float(np.einsum("kkk->", self.probs))
 
-    def permutation_residual(self) -> float:
-        """Max change of the table under any relabeling of the parties."""
-        worst = 0.0
-        for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            worst = max(worst, float(np.abs(self.probs - self.probs.transpose(axes)).max()))
-        return worst
-
 
 def joint_distribution(params: SjmParams) -> OutcomeDistribution:
     """Brute-force distribution: project the network state onto every
@@ -76,40 +69,6 @@ def joint_distribution(params: SjmParams) -> OutcomeDistribution:
     psi = TRIANGLE_STATE.reshape(4, 4, 4)  # party pairs (A1A2), (B1B2), (C1C2)
     amps = np.einsum("ja,kb,lc,abc->jkl", m.conj(), m.conj(), m.conj(), psi)
     return OutcomeDistribution(params=params, probs=np.abs(amps) ** 2)
-
-
-def outcome_amplitude(j: int, k: int, l: int, params: SjmParams) -> complex:
-    """<state_j state_k state_l | network state>, computed numerically."""
-    states = sjm_basis(params).states
-    return complex(
-        np.vdot(tensor(states[j], states[k], states[l]), TRIANGLE_STATE)
-    )
-
-
-def amplitude_closed_form(j: int, k: int, l: int, params: SjmParams) -> complex:
-    """The same amplitude in closed form (independent oracle for tests):
-
-    (1/32) { e^{-2i theta} (cj + ck + cl)
-             + 2 e^{-i theta} [sin(pj - pk) + sin(pk - pl) + sin(pl - pj)]
-             - 2 [cj cos(pk - pl) + ck cos(pl - pj) + cl cos(pj - pk)]
-             - cj ck cl }
-    """
-    cj, ck, cl = cos_k_pi(j), cos_k_pi(k), cos_k_pi(l)
-    pj, pk, pl = params.phi_k(j), params.phi_k(k), params.phi_k(l)
-    theta = params.theta
-    return (
-        np.exp(-2j * theta) * (cj + ck + cl)
-        + 2.0
-        * np.exp(-1j * theta)
-        * (math.sin(pj - pk) + math.sin(pk - pl) + math.sin(pl - pj))
-        - 2.0
-        * (
-            cj * math.cos(pk - pl)
-            + ck * math.cos(pl - pj)
-            + cl * math.cos(pj - pk)
-        )
-        - cj * ck * cl
-    ) / 32.0
 
 
 def closed_form_probability(j: int, k: int, l: int, theta: float) -> float:
@@ -121,17 +80,6 @@ def closed_form_probability(j: int, k: int, l: int, theta: float) -> float:
     if j != k and k != l and j != l:
         return (4.0 + s2) / 256.0
     return (4.0 - 3.0 * s2) / 256.0
-
-
-def p_same_outcome(params: SjmParams) -> float:
-    """p(a = b = c) from the brute-force distribution.  The tests check it
-    against the closed form (4 + 21 sin^2 theta)/64."""
-    return joint_distribution(params).p_same()
-
-
-def threshold_theta() -> float:
-    """Where p(a=b=c) crosses the trilocal bound: arcsin(sqrt(15/28))."""
-    return math.asin(math.sqrt(15.0 / 28.0))
 
 
 def _diagonal_amplitudes(m: np.ndarray) -> np.ndarray:
@@ -162,7 +110,8 @@ def nonlocality_scan(thetas, phi: float = math.pi / 4) -> tuple[np.ndarray, np.n
     Every basis on the grid comes from one `sjm_basis_sweep` call, and only
     the diagonal amplitudes <k k k|network> are contracted.  The four
     probabilities are added left to right, as `OutcomeDistribution.p_same`
-    sums them, so each value equals p_same_outcome at its point bit for bit.
+    sums them, so each value equals `joint_distribution(...).p_same()` at its
+    point bit for bit.
     """
     probs = np.abs(_diagonal_amplitudes(sjm_basis_sweep(thetas, phi).conj())) ** 2
     p_same = ((probs[:, 0] + probs[:, 1]) + probs[:, 2]) + probs[:, 3]

@@ -16,9 +16,9 @@ from sjm.analysis import (
     ALIGNED_VERTICES_SECOND,
     concurrence,
     concurrence_curve,
-    ejm_family_concurrence_closed_form,
     multi_reduction_closed_form,
     reduction_vector,
+    reduction_vectors,
     rotation_about_axis,
     symmetry_axis,
     zero_sum_residual,
@@ -41,20 +41,21 @@ from sjm.circuit import (
     verify_discrimination,
 )
 from sjm.linalg import PAULI_Y, gram_matrix, inner, ket, partial_trace
-from sjm.multiqubit import (
-    multi_reduction_closed_form,
-    multi_reduction_vector,
-    multi_sjm_basis,
-)
+from sjm.multiqubit import multi_sjm_basis
 from sjm.network import (
     TRILOCAL_BOUND,
-    amplitude_closed_form,
     closed_form_probability,
     joint_distribution,
     nonlocality_scan,
-    p_same_outcome,
-    threshold_theta,
     triangle_state,
+)
+
+from oracles import (
+    amplitude_closed_form,
+    ejm_family_concurrence_closed_form,
+    multi_reduction_vector,
+    permutation_residual,
+    threshold_theta,
 )
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
@@ -137,7 +138,7 @@ def test_criterion_3_reductions():
             for k, s in enumerate(basis.states)
         )
         checks.append((f"half-turn marginal map at {params}", rotation, 1e-10))
-        checks.append((f"zero-sum at {params}", zero_sum_residual(basis), 1e-10))
+        checks.append((f"zero-sum at {params}", zero_sum_residual(reduction_vectors(basis.states)), 1e-10))
     aligned = sjm_basis(ejm_aligned())
     for qubit, expected in ((0, ALIGNED_VERTICES_FIRST), (1, ALIGNED_VERTICES_SECOND)):
         vertices = np.array([reduction_vector(s, qubit) for s in aligned.states])
@@ -216,9 +217,10 @@ def test_criterion_6_network():
             checks.append((f"three-case closed form at theta={theta}, phi={phi}", worst, 1e-10))
             checks.append((f"total at theta={theta}, phi={phi}", abs(dist.total() - 1), 1e-10))
             checks.append(
-                (f"permutation symmetry at theta={theta}, phi={phi}", dist.permutation_residual(), 1e-10)
+                (f"permutation symmetry at theta={theta}, phi={phi}",
+                 permutation_residual(dist.probs), 1e-10)
             )
-            p_same = p_same_outcome(SjmParams(theta, phi))
+            p_same = dist.p_same()
             checks.append(
                 (
                     f"equal-outcome rate at theta={theta}",

@@ -37,12 +37,10 @@ from sjm.linalg import (
     gram_matrix,
     inner,
     ket,
-    norm,
     orthonormality_residual,
     partial_trace,
     tensor,
 )
-from sjm.multiqubit import pairwise_overlap_product
 from sjm.network import nonlocality_scan
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
@@ -129,8 +127,8 @@ def test_component_states_normalized_with_fixed_overlap(k, phi):
     p = SjmParams(0.9, phi)
     m0 = component_state(k, 0, p)
     m1 = component_state(k, 1, p)
-    assert norm(m0) == pytest.approx(1.0, abs=1e-12)
-    assert norm(m1) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(m0) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(m1) == pytest.approx(1.0, abs=1e-12)
     assert inner(m0, m1) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
@@ -149,11 +147,9 @@ def test_component_state_bad_slot():
     lambda k, p: symmetry_axis(k, p),
     lambda k, p: multi_reduction_closed_form(k, p, 2, 0),
     lambda k, p: original_ejm_state(k),
-    lambda k, p: pairwise_overlap_product(k, 0, p),
-    lambda k, p: pairwise_overlap_product(0, k, p),
 ], ids=["sjm_state", "sjm_state_closed_form", "component_state", "direction_state",
         "sjm_overlap_closed_form", "symmetry_axis", "multi_reduction_closed_form",
-        "original_ejm_state", "pairwise_overlap_product_j", "pairwise_overlap_product_k"])
+        "original_ejm_state"])
 def test_state_index_outside_0_to_3_rejected(build, k):
     # -1 used to wrap round to state 3, and 4 to raise a bare IndexError.
     with pytest.raises(ValueError, match="state index"):
@@ -272,7 +268,7 @@ def test_ejm_family_state_frozen_at_zero():
     scale = 1.0 / (2.0 * math.sqrt(2.0))
     expected = scale * np.array([0.0, math.sqrt(3.0) + 1.0, math.sqrt(3.0) - 1.0, 0.0])
     np.testing.assert_allclose(state, expected, atol=1e-15)
-    assert norm(state) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ejm_family_state_rejects_bad_pair():
@@ -361,10 +357,8 @@ def test_pair_matrices_equal_the_tensor_rows_bit_for_bit(phi):
     assert swapped.tobytes() == np.array([tensor(m1, m0) for m0, m1 in components]).tobytes()
 
 
-def test_pair_matrices_are_one_function_reexported():
-    assert sjm.multiqubit.pair_matrices is pair_matrices
+def test_pair_matrices_do_not_depend_on_theta():
     forward, swapped = pair_matrices(SjmParams(0.0, 0.4))
-    # Neither matrix depends on theta.
     for other in pair_matrices(SjmParams(1.2, 0.4)), pair_matrices(SjmParams(math.pi / 2, 0.4)):
         assert np.array_equal(other[0], forward) and np.array_equal(other[1], swapped)
 

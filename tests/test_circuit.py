@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -9,18 +12,17 @@ from sjm.bases import SjmParams, ejm_aligned, sjm_basis
 from sjm.circuit import (
     EXPECTED_SIGNS,
     EXPECTED_TARGETS,
-    GateCircuit,
     GateKind,
     GateOp,
     build_sjm_circuit,
-    circuit_from_dict,
-    circuit_from_json,
     circuit_to_dict,
-    circuit_to_json,
     gate_matrix,
     verify_discrimination,
 )
-from sjm.linalg import ket, unitarity_residual
+from sjm.cli import main
+from sjm.linalg import ket
+
+from oracles import unitarity_residual, unitary
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
@@ -118,7 +120,7 @@ def test_circuit_structure():
 @pytest.mark.parametrize("theta,phi", GRID)
 def test_circuit_unitary(theta, phi):
     circuit = build_sjm_circuit(SjmParams(theta, phi))
-    assert unitarity_residual(circuit.unitary()) <= 1e-10
+    assert unitarity_residual(unitary(circuit)) <= 1e-10
 
 
 @pytest.mark.parametrize("theta,phi", GRID)
@@ -197,45 +199,31 @@ def test_gate_op_validation():
         GateOp(GateKind.H, (), (), ())  # no target
 
 
-def test_json_roundtrip():
-    circuit = build_sjm_circuit(SjmParams(0.7, -1.2))
-    doc = circuit_to_dict(circuit)
-    parsed = circuit_from_dict(doc)
-    assert parsed.isclose(circuit, tol=1e-12)
-    # The wire format is a fixed point of emit . parse.
-    assert circuit_to_json(parsed) == circuit_to_json(circuit_from_json(circuit_to_json(circuit)))
-    assert parsed.params is not None
-    assert parsed.params.theta == pytest.approx(0.7, abs=1e-12)
+def _printed(x: float) -> float:
+    """`x` rounded to 15 significant digits, the value the CLI prints."""
+    return float(f"{x:.15g}")
+
+
+def _float_bits(doc: dict) -> list[str]:
+    """theta, phi and every gate arg of a circuit document, each as its exact bits."""
+    values = (doc["theta"], doc["phi"], *(a for gate in doc["gates"] for a in gate["args"]))
+    return [value.hex() for value in values]
 
 
 @settings(max_examples=40, deadline=None)
 @given(theta=THETAS, phi=PHIS)
-def test_json_roundtrip_random_point(theta, phi):
-    circuit = build_sjm_circuit(SjmParams(theta, phi))
-    assert circuit_from_json(circuit_to_json(circuit)).isclose(circuit)
-
-
-def _float_bits(circuit: GateCircuit) -> list[str]:
-    """theta, phi and every gate arg of `circuit`, each as its exact bits."""
-    values = (circuit.params.theta, circuit.params.phi, *(a for op in circuit.ops for a in op.args))
-    return [value.hex() for value in values]
-
-
-@settings(max_examples=100, deadline=None)
-@given(theta=THETAS, phi=PHIS)
-@example(theta=0.7, phi=-1.2)  # the arg pi/2 - 0.7 = 0.8707963267948966 needs 16 digits
+@example(theta=0.7, phi=-1.2)  # the arg pi/2 - 0.7 = 0.8707963267948966 prints as ...897
 def test_json_roundtrip_gives_back_every_float_bit_for_bit(theta, phi):
-    circuit = build_sjm_circuit(SjmParams(theta, phi))
-    parsed = circuit_from_json(circuit_to_json(circuit))
-    assert _float_bits(parsed) == _float_bits(circuit)
-    assert parsed.ops == circuit.ops
-
-
-def test_roundtrip_without_params():
-    bare = GateCircuit(
-        num_qubits=2,
-        ops=(GateOp(GateKind.H, (), (), (0,)), GateOp(GateKind.CNOT, (), (0,), (1,))),
-    )
-    parsed = circuit_from_dict(circuit_to_dict(bare))
-    assert parsed.isclose(bare)
-    assert parsed.params is None
+    """The gate list the `circuit` command prints parses back to
+    `circuit_to_dict`'s, with theta, phi and every gate arg bit for bit as
+    rounded to the 15 significant digits the CLI prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["circuit", f"--theta={theta!r}", f"--phi={phi!r}"]) == 0
+    emitted = json.loads(out.getvalue())["circuit"]
+    doc = circuit_to_dict(build_sjm_circuit(SjmParams(theta, phi)))
+    expected = {**doc, "theta": _printed(doc["theta"]), "phi": _printed(doc["phi"]),
+                "gates": [{**gate, "args": [_printed(a) for a in gate["args"]]}
+                          for gate in doc["gates"]]}
+    assert emitted == expected
+    assert _float_bits(emitted) == _float_bits(expected)

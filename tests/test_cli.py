@@ -30,7 +30,7 @@ import sjm.multiqubit
 import sjm.network
 from sjm.analysis import aligned_tetrahedron_residual
 from sjm.bases import component_state, ejm_aligned
-from sjm.circuit import build_sjm_circuit, circuit_from_dict
+from sjm.circuit import build_sjm_circuit, circuit_to_dict
 from sjm.linalg import partial_trace
 from sjm.cli import (
     GRID_STEPS_CAP,
@@ -48,14 +48,17 @@ def _fmt(x: float) -> float:
     return float(f"{x:.15g}")
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out
+def _stdout(argv) -> tuple[int, str]:
+    """Exit code and stdout of one in-process run, captured by hand so that
+    hypothesis examples can use it too (capsys is function-scoped)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
 
 
-def test_basis_default_json(capsys):
-    code, out = run_cli(capsys, "basis")
+def test_basis_default_json():
+    code, out = _stdout(["basis"])
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "basis"
@@ -69,8 +72,8 @@ def test_basis_default_json(capsys):
         assert norm_sq == pytest.approx(1.0, abs=1e-10)
 
 
-def test_basis_multiqubit_row_count(capsys):
-    code, out = run_cli(capsys, "basis", "--n", "4", "--theta", "0")
+def test_basis_multiqubit_row_count():
+    code, out = _stdout(["basis", "--n", "4", "--theta", "0"])
     assert code == 0
     doc = json.loads(out)
     assert len(doc["states"]) == 16
@@ -78,8 +81,8 @@ def test_basis_multiqubit_row_count(capsys):
     assert len(doc["states"][0]["amplitudes"]) == 16
 
 
-def test_basis_csv_shape(capsys):
-    code, out = run_cli(capsys, "basis", "--format", "csv")
+def test_basis_csv_shape():
+    code, out = _stdout(["basis", "--format", "csv"])
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 5
@@ -87,36 +90,30 @@ def test_basis_csv_shape(capsys):
     assert lines[0].endswith("amp3_re,amp3_im")
 
 
-def test_theta_out_of_range_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["basis", "--theta", "2.0"])
-    assert exc.value.code == 2
-    assert "theta out of range" in capsys.readouterr().err
+def test_theta_out_of_range_exits_2():
+    code, err = _exit_and_stderr(["basis", "--theta", "2.0"])
+    assert code == 2
+    assert "theta out of range" in err
 
 
-def test_conflicting_theta_flags_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["basis", "--theta", "0.3", "--theta-frac", "1/2"])
-    assert exc.value.code == 2
-    assert "not both" in capsys.readouterr().err
+def test_conflicting_theta_flags_exit_2():
+    code, err = _exit_and_stderr(["basis", "--theta", "0.3", "--theta-frac", "1/2"])
+    assert code == 2
+    assert "not both" in err
 
 
-def test_odd_qubit_count_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["multiqubit", "--n", "3"])
-    assert exc.value.code == 2
+def test_odd_qubit_count_exits_2():
+    assert _exit_and_stderr(["multiqubit", "--n", "3"])[0] == 2
 
 
-def test_fraction_flag_matches_radian_flag(capsys):
-    _, out_frac = run_cli(capsys, "basis", "--theta-frac", "1/2", "--phi-frac", "1/4")
-    _, out_rad = run_cli(
-        capsys, "basis", "--theta", repr(math.pi / 2), "--phi", repr(math.pi / 4)
-    )
+def test_fraction_flag_matches_radian_flag():
+    _, out_frac = _stdout(["basis", "--theta-frac", "1/2", "--phi-frac", "1/4"])
+    _, out_rad = _stdout(["basis", "--theta", repr(math.pi / 2), "--phi", repr(math.pi / 4)])
     assert out_frac == out_rad
 
 
-def test_verify_default_all_pass(capsys):
-    code, out = run_cli(capsys, "verify")
+def test_verify_default_all_pass():
+    code, out = _stdout(["verify"])
     assert code == 0
     doc = json.loads(out)
     assert doc["all_pass"] is True
@@ -129,47 +126,51 @@ def test_verify_default_all_pass(capsys):
     assert all(entry["residual"] <= entry["tolerance"] for entry in doc["invariants"])
 
 
-def test_verify_product_point(capsys):
-    code, out = run_cli(capsys, "verify", "--theta", "0", "--phi", "-3.141592653589793")
+def test_verify_product_point():
+    code, out = _stdout(["verify", "--theta", "0", "--phi", "-3.141592653589793"])
     assert code == 0
     assert json.loads(out)["all_pass"] is True
 
 
-def test_verify_csv_header(capsys):
-    code, out = run_cli(capsys, "verify", "--format", "csv")
+def test_verify_csv_header():
+    code, out = _stdout(["verify", "--format", "csv"])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "name,residual,tolerance,pass"
     assert all(line.endswith(",true") for line in lines[1:])
 
 
-def test_circuit_default_aligned(capsys):
-    code, out = run_cli(capsys, "circuit")
+def test_circuit_default_aligned():
+    code, out = _stdout(["circuit"])
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
     assert [m["target_bits"] for m in doc["mappings"]] == ["01", "11", "00", "10"]
     assert doc["reference_sign_residual"] <= 1e-8
     assert len(doc["circuit"]["gates"]) == 9
-    parsed = circuit_from_dict(doc["circuit"])
-    assert parsed.isclose(build_sjm_circuit(ejm_aligned()), tol=1e-12)
+    # The gate list as emitted: every float rounded to 15 significant digits.
+    expected = circuit_to_dict(build_sjm_circuit(ejm_aligned()))
+    expected.update(theta=_fmt(expected["theta"]), phi=_fmt(expected["phi"]),
+                    gates=[{**gate, "args": [_fmt(a) for a in gate["args"]]}
+                           for gate in expected["gates"]])
+    assert doc["circuit"] == expected
 
 
-def test_circuit_generic_point(capsys):
-    code, out = run_cli(capsys, "circuit", "--theta", "0.3", "--phi", "-1.0")
+def test_circuit_generic_point():
+    code, out = _stdout(["circuit", "--theta", "0.3", "--phi", "-1.0"])
     assert code == 0
     doc = json.loads(out)
     assert doc["targets_distinct"] is True
     assert doc["max_magnitude_error"] <= 1e-8
 
 
-def test_circuit_csv_header(capsys):
-    _, out = run_cli(capsys, "circuit", "--format", "csv")
+def test_circuit_csv_header():
+    _, out = _stdout(["circuit", "--format", "csv"])
     assert out.split("\n")[0] == "state,target,target_bits,magnitude,phase"
 
 
-def test_network_table_aligned(capsys):
-    code, out = run_cli(capsys, "network", "table", "--theta-frac", "1/2")
+def test_network_table_aligned():
+    code, out = _stdout(["network", "table", "--theta-frac", "1/2"])
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
@@ -181,8 +182,8 @@ def test_network_table_aligned(capsys):
     assert probs[60:] == pytest.approx([25 / 256] * 4, abs=1e-12)
 
 
-def test_network_table_product_point_csv(capsys):
-    code, out = run_cli(capsys, "network", "table", "--theta", "0", "--format", "csv")
+def test_network_table_product_point_csv():
+    code, out = _stdout(["network", "table", "--theta", "0", "--format", "csv"])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "a,b,c,probability"
@@ -190,8 +191,8 @@ def test_network_table_product_point_csv(capsys):
     assert all(line.endswith(",0.015625") for line in lines[1:])
 
 
-def test_network_scan_threshold(capsys):
-    code, out = run_cli(capsys, "network", "scan", "--grid-steps", "64")
+def test_network_scan_threshold():
+    code, out = _stdout(["network", "scan", "--grid-steps", "64"])
     assert code == 0
     doc = json.loads(out)
     assert doc["grid_steps"] == 64
@@ -206,8 +207,8 @@ def test_network_scan_threshold(capsys):
     assert points[-1]["violates"]
 
 
-def test_network_scan_csv_header(capsys):
-    _, out = run_cli(capsys, "network", "scan", "--grid-steps", "4", "--format", "csv")
+def test_network_scan_csv_header():
+    _, out = _stdout(["network", "scan", "--grid-steps", "4", "--format", "csv"])
     lines = out.strip().split("\n")
     assert lines[0] == "theta,p_same,bound,violates"
     assert len(lines) == 5
@@ -215,8 +216,8 @@ def test_network_scan_csv_header(capsys):
     assert lines[-1].endswith(",true")
 
 
-def test_curve_rows_and_endpoints(capsys):
-    code, out = run_cli(capsys, "curve", "--grid-steps", "8")
+def test_curve_rows_and_endpoints():
+    code, out = _stdout(["curve", "--grid-steps", "8"])
     assert code == 0
     doc = json.loads(out)
     points = doc["points"]
@@ -230,15 +231,15 @@ def test_curve_rows_and_endpoints(capsys):
     assert all(p["c_original_ejm"] == pytest.approx(0.5, abs=1e-15) for p in points)
 
 
-def test_curve_csv_header(capsys):
-    _, out = run_cli(capsys, "curve", "--grid-steps", "2", "--format", "csv")
+def test_curve_csv_header():
+    _, out = _stdout(["curve", "--grid-steps", "2", "--format", "csv"])
     lines = out.strip().split("\n")
     assert lines[0] == "theta,c_sjm,c_ejm_family,c_original_ejm"
     assert len(lines) == 4
 
 
-def test_multiqubit_four_qubits(capsys):
-    code, out = run_cli(capsys, "multiqubit", "--n", "4", "--theta", "0.7", "--phi", "0.3")
+def test_multiqubit_four_qubits():
+    code, out = _stdout(["multiqubit", "--n", "4", "--theta", "0.7", "--phi", "0.3"])
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
@@ -247,18 +248,18 @@ def test_multiqubit_four_qubits(capsys):
     assert len(doc["reductions"]) == 16 * 4
 
 
-def test_multiqubit_csv_header(capsys):
-    _, out = run_cli(capsys, "multiqubit", "--n", "4", "--format", "csv")
+def test_multiqubit_csv_header():
+    _, out = _stdout(["multiqubit", "--n", "4", "--format", "csv"])
     lines = out.strip().split("\n")
     assert lines[0] == "index,position,x,y,z"
     assert len(lines) == 1 + 16 * 4
     assert lines[1].startswith("00,0,")
 
 
-def test_multiqubit_gram_certifies_every_pair_without_seed(capsys):
+def test_multiqubit_gram_certifies_every_pair_without_seed():
     # n = 8 has 32 640 state pairs; the bound covers all of them, so the
     # report carries no sampling metadata and no seed.
-    code, out = run_cli(capsys, "multiqubit", "--n", "8", "--seed", "5")
+    code, out = _stdout(["multiqubit", "--n", "8", "--seed", "5"])
     assert code == 0
     doc = json.loads(out)
     assert doc["gram"] == {"residual": doc["gram"]["residual"]}
@@ -268,10 +269,10 @@ def test_multiqubit_gram_certifies_every_pair_without_seed(capsys):
 
 @pytest.mark.parametrize("command", ["verify", "multiqubit"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_seed_is_accepted_and_ignored(command, fmt, capsys):
+def test_seed_is_accepted_and_ignored(command, fmt):
     base = [command, "--n", "8", "--theta", "0.7", "--phi=-1.3", "--format", fmt]
-    code, plain = run_cli(capsys, *base)
-    assert (code, plain) == run_cli(capsys, *base, "--seed", "5")
+    code, plain = _stdout(base)
+    assert (code, plain) == _stdout([*base, "--seed", "5"])
     assert code == 0
 
 
@@ -283,46 +284,42 @@ def test_help_says_seed_is_ignored(command, capsys):
     assert "--seed SEED accepted and ignored" in " ".join(capsys.readouterr().out.split())
 
 
-def test_repeated_runs_byte_identical(capsys):
-    _, first = run_cli(capsys, "verify", "--theta", "0.9", "--phi", "0.1")
-    _, second = run_cli(capsys, "verify", "--theta", "0.9", "--phi", "0.1")
+def test_repeated_runs_byte_identical():
+    _, first = _stdout(["verify", "--theta", "0.9", "--phi", "0.1"])
+    _, second = _stdout(["verify", "--theta", "0.9", "--phi", "0.1"])
     assert first == second
-    _, third = run_cli(capsys, "multiqubit", "--n", "8", "--seed", "3")
-    _, fourth = run_cli(capsys, "multiqubit", "--n", "8", "--seed", "3")
+    _, third = _stdout(["multiqubit", "--n", "8", "--seed", "3"])
+    _, fourth = _stdout(["multiqubit", "--n", "8", "--seed", "3"])
     assert third == fourth
 
 
-def test_output_flag_writes_file(tmp_path, capsys):
+def test_output_flag_writes_file(tmp_path):
     path = tmp_path / "report.json"
-    code, out = run_cli(capsys, "verify", "--output", str(path))
+    code, out = _stdout(["verify", "--output", str(path)])
     assert code == 0
     assert out == ""
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["all_pass"] is True
 
 
-def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys):
+def test_unwritable_output_exits_2_with_one_error_line(tmp_path):
     for path in (tmp_path / "missing" / "out.json", tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--output", str(path)])
-        assert exc.value.code == 2
-        lines = capsys.readouterr().err.splitlines()
+        code, err = _exit_and_stderr(["verify", "--output", str(path)])
+        assert code == 2
+        lines = err.splitlines()
         assert lines[-1].startswith("sjm: error: cannot write")
         assert sum(line.startswith("sjm: error:") for line in lines) == 1
         assert not any("Traceback" in line for line in lines)
 
 
-def test_invalid_input_never_touches_output(tmp_path, capsys):
+def test_invalid_input_never_touches_output(tmp_path):
     path = tmp_path / "f"
-    with pytest.raises(SystemExit) as exc:
-        main(["basis", "--n", "14", "--output", str(path)])
-    assert exc.value.code == 2
+    assert _exit_and_stderr(["basis", "--n", "14", "--output", str(path)])[0] == 2
     assert not path.exists()
     path.write_text("kept\n", encoding="utf-8")
     invalid = (["basis", "--n", "14"], ["verify", "--theta", "2.0"], ["curve", "--grid-steps", "0"])
     for argv in invalid:
-        with pytest.raises(SystemExit):
-            main(argv + ["--output", str(path)])
+        assert _exit_and_stderr(argv + ["--output", str(path)])[0] == 2
     assert path.read_text(encoding="utf-8") == "kept\n"
 
 
@@ -418,22 +415,20 @@ def test_angle_flags_exit_0_or_2_with_one_error_line(command, flag, value):
         ["curve", "--seed", "1"],
     ],
 )
-def test_flags_a_command_does_not_read_exit_2(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+def test_flags_a_command_does_not_read_exit_2(argv):
+    code, err = _exit_and_stderr(argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
-def test_grid_steps_cap(capsys):
+def test_grid_steps_cap():
     args = build_parser().parse_args(["curve", "--grid-steps", str(GRID_STEPS_CAP)])
     params_from_args(args)  # the cap itself validates
     assert args.grid_steps == GRID_STEPS_CAP
     for argv in (["curve"], ["network", "scan"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--grid-steps", str(GRID_STEPS_CAP + 1)])
-        assert exc.value.code == 2
-        assert f"grid-steps must be in [1, {GRID_STEPS_CAP}]" in capsys.readouterr().err
+        code, err = _exit_and_stderr(argv + ["--grid-steps", str(GRID_STEPS_CAP + 1)])
+        assert code == 2
+        assert f"grid-steps must be in [1, {GRID_STEPS_CAP}]" in err
 
 
 @pytest.mark.parametrize("argv,rows", [
@@ -689,14 +684,6 @@ def test_csv_columns_must_follow_the_row_fields():
         write_csv(table, io.StringIO())
 
 
-def _stdout(argv) -> tuple[int, str]:
-    # capsys is function-scoped, so hypothesis examples capture by hand.
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue()
-
-
 # Every command at a small size, with the angle flags it reads.
 SMALL_RUNS = st.sampled_from([
     (["basis", "--n", "2"], ("theta", "phi")), (["basis", "--n", "4"], ("theta", "phi")),
@@ -810,10 +797,11 @@ def test_verify_and_multiqubit_never_build_the_dense_basis(monkeypatch):
         sjm.multiqubit.multi_sjm_basis(4, sjm.bases.SjmParams(0.5, 0.1))
     with pytest.raises(AssertionError, match="dense path reached"):
         main(["basis", "--n", "4"])
-    # The multiqubit layer's partial traces; the two-qubit invariants in
-    # `analysis` keep theirs, on 4-amplitude states.
-    for module in (sjm.multiqubit, sjm.linalg):
-        monkeypatch.setattr(module, "partial_trace", forbidden)
+    # The multiqubit layer takes no partial trace: it imports none, and none
+    # is reached through `linalg`.  The two-qubit invariants in `analysis`
+    # keep theirs, on 4-amplitude states.
+    assert not hasattr(sjm.multiqubit, "partial_trace")
+    monkeypatch.setattr(sjm.linalg, "partial_trace", forbidden)
     for argv in (["verify", "--n", "12"], ["multiqubit", "--n", "4"],
                  ["multiqubit", "--n", "12", "--format", "csv"]):
         code, out = _stdout(argv)
@@ -857,13 +845,11 @@ def test_angle_fraction_exponent_at_the_bound_still_parses():
 
 
 @pytest.mark.parametrize("command", [*ANGLE_COMMANDS, ["curve"]], ids=" ".join)
-def test_empty_output_exits_2_and_writes_nothing(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--output="])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
+def test_empty_output_exits_2_and_writes_nothing(command):
+    code, out, err = _exit_stdout_and_stderr([*command, "--output="])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
     assert lines[-1] == "sjm: error: --output needs a non-empty path"
     assert sum(line.startswith("sjm: error:") for line in lines) == 1
 

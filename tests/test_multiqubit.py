@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import json
@@ -10,21 +11,19 @@ from hypothesis import strategies as st
 
 import sjm.bases
 import sjm.multiqubit
-from sjm.analysis import rotation_about_axis, symmetry_axis
+from sjm.analysis import multi_reduction_closed_form, rotation_about_axis, symmetry_axis
 from sjm.bases import (JointBasis, SjmParams, component_state, ejm_aligned, original_ejm_basis,
-                       sjm_basis, sjm_state)
+                       pair_matrices, sjm_basis, sjm_state)
 from sjm.linalg import gram_matrix, inner, orthonormality_residual, partial_trace, tensor
 from sjm.multiqubit import (
     aux_state,
     multi_gram_bound,
     multi_invariant_residuals,
-    multi_reduction_closed_form,
-    multi_reduction_vector,
     multi_reduction_vectors,
     multi_sjm_basis,
-    pair_matrices,
-    pairwise_overlap_product,
 )
+
+from oracles import multi_reduction_vector
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
@@ -77,7 +76,8 @@ def test_pairwise_overlap_products_are_kronecker_delta():
         params = SjmParams(0.9, float(phi))
         for j in range(4):
             for k in range(4):
-                value = pairwise_overlap_product(j, k, params)
+                value = (inner(component_state(j, 0, params), component_state(k, 0, params))
+                         * inner(component_state(j, 1, params), component_state(k, 1, params)))
                 assert abs(value - (1.0 if j == k else 0.0)) <= 1e-12
 
 
@@ -333,60 +333,42 @@ def test_theta_zero_states_are_component_products():
     params = SjmParams(0.0, -0.4)
     basis = multi_sjm_basis(4, params)
     for ks in [(0, 0), (1, 3), (2, 1)]:
-        factors = []
-        for k in ks:
-            factors.append(component_state(k, 0, params))
-            factors.append(component_state(k, 1, params))
-        expected = factors[0]
-        for f in factors[1:]:
-            expected = np.kron(expected, f)
+        factors = [component_state(k, slot, params) for k in ks for slot in (0, 1)]
+        expected = functools.reduce(np.kron, factors)
         np.testing.assert_allclose(basis.state_for(ks), expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("theta,phi", [(t, p) for t in THETA_GRID for p in PHI_GRID])
-def test_two_pair_reductions_match_closed_form(theta, phi):
-    params = SjmParams(theta, phi)
-    basis = multi_sjm_basis(2, params)
-    for ks in basis.index_tuples():
-        for position in range(2):
-            actual = multi_reduction_vector(basis, ks, position)
-            expected = multi_reduction_closed_form(ks[position // 2], params, 2, position)
-            np.testing.assert_allclose(actual, expected, atol=1e-10)
-
-
-@pytest.mark.parametrize("theta", THETA_GRID)
-@pytest.mark.parametrize("phi", (math.pi / 3, -math.pi / 2))
-def test_four_qubit_reductions_match_closed_form(theta, phi):
-    params = SjmParams(theta, phi)
-    basis = multi_sjm_basis(4, params)
-    for ks in basis.index_tuples():
-        for position in range(4):
-            actual = multi_reduction_vector(basis, ks, position)
-            expected = multi_reduction_closed_form(ks[position // 2], params, 4, position)
-            np.testing.assert_allclose(actual, expected, atol=1e-10)
-
-
-@pytest.mark.parametrize("theta,phi", [(0.0, 0.5), (0.9, -2.1), (math.pi / 2, math.pi / 4)])
-def test_six_qubit_reductions_match_closed_form(theta, phi):
-    params = SjmParams(theta, phi)
-    basis = multi_sjm_basis(6, params)
-    for ks in basis.index_tuples():
-        for position in range(6):
-            actual = multi_reduction_vector(basis, ks, position)
-            expected = multi_reduction_closed_form(ks[position // 2], params, 6, position)
-            np.testing.assert_allclose(actual, expected, atol=1e-10)
-
-
-@settings(max_examples=20, deadline=None)
-@given(theta=THETAS, phi=PHIS, n=st.sampled_from((2, 4)))
-def test_reductions_match_closed_form_random_point(theta, phi, n):
-    params = SjmParams(theta, phi)
+def _assert_reductions_match_closed_form(n: int, params: SjmParams) -> None:
+    """Every reduction of the dense n-qubit basis, by partial trace, against
+    `multi_reduction_closed_form`."""
     basis = multi_sjm_basis(n, params)
     for ks in basis.index_tuples():
         for position in range(n):
             actual = multi_reduction_vector(basis, ks, position)
             expected = multi_reduction_closed_form(ks[position // 2], params, n, position)
             np.testing.assert_allclose(actual, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("theta,phi", [(t, p) for t in THETA_GRID for p in PHI_GRID])
+def test_two_pair_reductions_match_closed_form(theta, phi):
+    _assert_reductions_match_closed_form(2, SjmParams(theta, phi))
+
+
+@pytest.mark.parametrize("theta", THETA_GRID)
+@pytest.mark.parametrize("phi", (math.pi / 3, -math.pi / 2))
+def test_four_qubit_reductions_match_closed_form(theta, phi):
+    _assert_reductions_match_closed_form(4, SjmParams(theta, phi))
+
+
+@pytest.mark.parametrize("theta,phi", [(0.0, 0.5), (0.9, -2.1), (math.pi / 2, math.pi / 4)])
+def test_six_qubit_reductions_match_closed_form(theta, phi):
+    _assert_reductions_match_closed_form(6, SjmParams(theta, phi))
+
+
+@settings(max_examples=20, deadline=None)
+@given(theta=THETAS, phi=PHIS, n=st.sampled_from((2, 4)))
+def test_reductions_match_closed_form_random_point(theta, phi, n):
+    _assert_reductions_match_closed_form(n, SjmParams(theta, phi))
 
 
 def test_pair_partners_related_by_axis_rotation():

@@ -15,15 +15,13 @@ from sjm.network import (
     TRILOCAL_BOUND,
     OutcomeDistribution,
     _diagonal_amplitudes,
-    amplitude_closed_form,
     closed_form_probability,
     joint_distribution,
     nonlocality_scan,
-    outcome_amplitude,
-    p_same_outcome,
-    threshold_theta,
     triangle_state,
 )
+
+from oracles import amplitude_closed_form, outcome_amplitude, permutation_residual, threshold_theta
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
@@ -76,7 +74,7 @@ def test_distribution_matches_closed_form(theta, phi):
 def test_distribution_normalized_and_symmetric(theta, phi):
     dist = joint_distribution(SjmParams(theta, phi))
     assert abs(dist.total() - 1) <= 1e-10
-    assert dist.permutation_residual() <= 1e-12
+    assert permutation_residual(dist.probs) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,7 +82,7 @@ def test_distribution_normalized_and_symmetric(theta, phi):
 def test_distribution_normalized_and_symmetric_random_point(theta, phi):
     dist = joint_distribution(SjmParams(theta, phi))
     assert abs(dist.total() - 1) <= 1e-10
-    assert dist.permutation_residual() <= 1e-12
+    assert permutation_residual(dist.probs) <= 1e-12
 
 
 def test_aligned_distribution_values():
@@ -131,24 +129,24 @@ def test_outcome_amplitude_single_entry():
 
 @pytest.mark.parametrize("theta", THETA_GRID)
 def test_p_same_formula(theta):
-    p = p_same_outcome(SjmParams(theta, 0.4))
+    p = joint_distribution(SjmParams(theta, 0.4)).p_same()
     assert abs(p - (4 + 21 * math.sin(theta) ** 2) / 64) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi))
 def test_p_same_closed_form_random_point(theta, phi):
-    p = p_same_outcome(SjmParams(theta, phi))
+    p = joint_distribution(SjmParams(theta, phi)).p_same()
     assert abs(p - (4 + 21 * math.sin(theta) ** 2) / 64) <= 1e-10
 
 
 def test_p_same_aligned_value():
-    assert abs(p_same_outcome(ejm_aligned()) - 25 / 64) <= 1e-12
+    assert abs(joint_distribution(ejm_aligned()).p_same() - 25 / 64) <= 1e-12
 
 
 def test_p_same_monotone_in_theta():
     thetas = np.linspace(0, math.pi / 2, 21)
-    values = [p_same_outcome(SjmParams(float(t), 0.2)) for t in thetas]
+    values = [joint_distribution(SjmParams(float(t), 0.2)).p_same() for t in thetas]
     diffs = np.diff(values)
     assert np.all(diffs > -1e-12)
     assert values[0] == pytest.approx(1 / 16, abs=1e-12)
@@ -159,8 +157,8 @@ def test_threshold_value():
     target = math.asin(math.sqrt(15 / 28))
     assert abs(threshold_theta() - target) <= 1e-12
     # The equal-outcome probability crosses the trilocal bound at the threshold.
-    below = p_same_outcome(SjmParams(threshold_theta() - 1e-6, 0.0))
-    above = p_same_outcome(SjmParams(threshold_theta() + 1e-6, 0.0))
+    below = joint_distribution(SjmParams(threshold_theta() - 1e-6, 0.0)).p_same()
+    above = joint_distribution(SjmParams(threshold_theta() + 1e-6, 0.0)).p_same()
     assert below < TRILOCAL_BOUND < above
 
 
@@ -223,7 +221,7 @@ def test_scan_equals_pointwise_p_same_bit_for_bit(thetas, phi):
     assert len(p_same) == len(violates) == len(thetas)
     for p, theta in zip(p_same.tolist(), thetas):
         assert type(p) is float
-        assert p == p_same_outcome(SjmParams(float(theta), phi))
+        assert p == joint_distribution(SjmParams(float(theta), phi)).p_same()
 
 
 def _assert_scan_is_the_einsum_bit_for_bit(thetas, phi):
