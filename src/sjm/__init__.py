@@ -20,7 +20,6 @@ from .analysis import (
 from .bases import (
     EJM_PHI,
     PHI_OFFSETS,
-    JointBasis,
     SjmParams,
     bell_psi_plus,
     component_state,
@@ -61,7 +60,6 @@ from .multiqubit import (
 )
 from .network import (
     TRILOCAL_BOUND,
-    OutcomeDistribution,
     closed_form_probability,
     joint_distribution,
     nonlocality_scan,

@@ -145,7 +145,7 @@ def aligned_tetrahedron_residual() -> float:
     tetrahedra: worst deviation over vertex positions, circumradii
     (sqrt(3)/2), and pairwise vertex distances (sqrt 2)."""
     # [qubit, state, xyz]
-    vertices = reduction_vectors(sjm_basis(ejm_aligned()).states).transpose(1, 0, 2)
+    vertices = reduction_vectors(sjm_basis(ejm_aligned())).transpose(1, 0, 2)
     expected = np.stack([ALIGNED_VERTICES_FIRST, ALIGNED_VERTICES_SECOND])
     a, b = np.triu_indices(4, 1)
     edges = np.linalg.norm(vertices[:, a] - vertices[:, b], axis=2)

@@ -78,33 +78,10 @@ def ejm_aligned() -> SjmParams:
     return SjmParams(theta=math.pi / 2, phi=math.pi / 4)
 
 
-@dataclass(frozen=True, eq=False)
-class JointBasis:
-    """The basis states on n qubits (n even), ordered lexicographically by
-    index tuple (k_1, ..., k_{n/2}), as one read-only complex128 array of
-    shape (4**(n//2), 2**n), a state per row.  `params` is None for the
-    original elegant joint measurement.  Equality and hashing are by identity."""
-
-    states: np.ndarray
-    params: SjmParams | None = None
-
-    def __post_init__(self) -> None:
-        self.states.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[1].bit_length() - 1
-
-    def index_tuples(self) -> list[tuple[int, ...]]:
-        return list(map(tuple, _index_array(self.n // 2).tolist()))
-
-    def state_for(self, ks: tuple[int, ...]) -> np.ndarray:
-        if len(ks) != self.n // 2 or any(k not in (0, 1, 2, 3) for k in ks):
-            raise ValueError(f"bad index tuple {ks} for n={self.n}")
-        return self.states[np.ravel_multi_index(ks, (4,) * len(ks))]
+def _read_only(states: np.ndarray) -> np.ndarray:
+    """`states`, made read-only in place: a basis is this array, a state per row."""
+    states.flags.writeable = False
+    return states
 
 
 def _index_array(pairs: int) -> np.ndarray:
@@ -175,9 +152,10 @@ def _symmetrize(theta: float | np.ndarray, forward: np.ndarray,
     return 0.5 * ((1.0 + mix) * forward + (1.0 - mix) * swapped)
 
 
-def sjm_basis(params: SjmParams) -> JointBasis:
-    """The four-state symmetric joint-measurement basis at the given angles."""
-    return JointBasis(_symmetrize(params.theta, *pair_matrices(params)), params)
+def sjm_basis(params: SjmParams) -> np.ndarray:
+    """The four-state symmetric joint-measurement basis at the given angles, as
+    a read-only complex (4, 4) array indexed [state, amplitude]."""
+    return _read_only(_symmetrize(params.theta, *pair_matrices(params)))
 
 
 def _components(params: SjmParams) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -207,7 +185,7 @@ def sjm_basis_sweep(thetas: Sequence[float], phi: float) -> np.ndarray:
     (len(thetas), 4, 4) indexed [theta, state, amplitude], from a single
     `pair_matrices` call.  Each theta is checked and snapped as `SjmParams`
     does, a grid that is not 1-D raises ValueError, and phi is checked once.
-    Row t equals sjm_basis(SjmParams(thetas[t], phi)).states bit for bit (the
+    Row t equals sjm_basis(SjmParams(thetas[t], phi)) bit for bit (the
     tests hold it to that).
     """
     column = _checked_thetas(thetas)[:, None, None]  # broadcasts over [state, amplitude]
@@ -262,9 +240,10 @@ def original_ejm_state(j: int) -> np.ndarray:
     return 0.5 * np.array([1.0 / phase, -r_plus, -r_minus, -phase], dtype=complex)
 
 
-def original_ejm_basis() -> JointBasis:
-    """The original elegant joint measurement (iso-entangled, concurrence 1/2)."""
-    return JointBasis(np.array([original_ejm_state(j) for j in range(4)]))
+def original_ejm_basis() -> np.ndarray:
+    """The original elegant joint measurement (iso-entangled, concurrence 1/2),
+    as a read-only complex (4, 4) array indexed [state, amplitude]."""
+    return _read_only(np.array([original_ejm_state(j) for j in range(4)]))
 
 
 def ejm_family_state(theta: float | np.ndarray,

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .analysis import concurrence_curve
-from .bases import SjmParams, _index_array, ejm_aligned, sjm_basis
+from .bases import SjmParams, _index_array, ejm_aligned
 from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
 from .multiqubit import (
     TOL_GRAM, _basis_rows, multi_gram_bound, multi_invariant_residuals, multi_reduction_vectors,
@@ -338,7 +338,7 @@ def cmd_verify(args: argparse.Namespace, params: SjmParams) -> Table:
 
 def cmd_circuit(args: argparse.Namespace, params: SjmParams) -> Table:
     circuit = build_sjm_circuit(params)
-    report = verify_discrimination(circuit, sjm_basis(params))
+    report = verify_discrimination(circuit)
     return Table(
         head={"command": "circuit", **_point(args), "circuit": circuit_to_dict(circuit)},
         key="mappings",
@@ -363,18 +363,17 @@ def cmd_network(args: argparse.Namespace, params: SjmParams) -> Table:
             rows=zip(thetas.tolist(), p_same.tolist(), violates.tolist()),
             columns=("theta", "p_same", "bound", "violates"),
         )
-    dist = joint_distribution(params)
-    outcomes = list(itertools.product(range(4), repeat=3))
-    residual = max(
-        abs(dist.prob(a, b, c) - closed_form_probability(a, b, c, args.theta))
-        for a, b, c in outcomes
-    )
+    probs = joint_distribution(params)
+    # C order of the (4, 4, 4) table is the order of the outcomes (a, b, c).
+    rows = [(*outcome, p)
+            for outcome, p in zip(itertools.product(range(4), repeat=3), probs.ravel().tolist())]
+    residual = max(abs(p - closed_form_probability(a, b, c, args.theta)) for a, b, c, p in rows)
     ok = residual <= 1e-10
     return Table(
         head={"command": "network-table", **_point(args)}, key="outcomes",
         shape={"a": 0, "b": 0, "c": 0, "probability": 0.0},
-        rows=((a, b, c, dist.prob(a, b, c)) for a, b, c in outcomes), code=0 if ok else 1,
-        tail={"total": dist.total(), "closed_form_residual": residual, "pass": ok},
+        rows=rows, code=0 if ok else 1,
+        tail={"total": float(probs.sum()), "closed_form_residual": residual, "pass": ok},
     )
 
 

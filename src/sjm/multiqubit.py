@@ -19,8 +19,8 @@ import numpy as np
 from .analysis import (aligned_tetrahedron_residual, concurrence, multi_reduction_closed_form,
                        reduction_vectors, rotation_symmetry_residual, sjm_concurrence_closed_form,
                        zero_sum_residual)
-from .bases import (_COMPONENT_NORM, _EIGHTH_TURN, JointBasis, SjmParams, _components,
-                    _index_array, _pair_matrices_of, _symmetrize, ejm_aligned, original_ejm_basis,
+from .bases import (_COMPONENT_NORM, _EIGHTH_TURN, SjmParams, _components, _index_array,
+                    _pair_matrices_of, _read_only, _symmetrize, ejm_aligned, original_ejm_basis,
                     pair_matrices, sjm_basis, sjm_overlap_closed_form, sjm_state,
                     sjm_state_closed_form)
 from .linalg import PAULIS, completeness_residual, gram_matrix, inner, tensor
@@ -80,16 +80,18 @@ def _basis_rows(n: int, params: SjmParams) -> Iterator[np.ndarray]:
                                      np.kron(heads[1][a:a + _BLOCK_HEADS], swapped)))
 
 
-def multi_sjm_basis(n: int, params: SjmParams) -> JointBasis:
-    """Build the dense n-qubit basis (n even, 2 <= n <= 12)."""
-    states = np.fromiter(_basis_rows(n, params), np.dtype((complex, 2**n)), 4**(n // 2))
-    return JointBasis(states, params)
+def multi_sjm_basis(n: int, params: SjmParams) -> np.ndarray:
+    """The dense n-qubit basis (n even, 2 <= n <= 12): a read-only (4**(n//2), 2**n)
+    array whose row np.ravel_multi_index(ks, (4,) * len(ks)) is state ks."""
+    return _read_only(np.fromiter(_basis_rows(n, params), np.dtype((complex, 2**n)), 4**(n // 2)))
 
 
 def multi_gram_bound(n: int, params: SjmParams) -> float:
-    """Bound on max |G - I| over every entry of the n-qubit Gram matrix G:
-    with a, b = |1 +- e^{i theta}|^2, P = n/2 pairs, A = conj(F) F^T,
-    B = conj(S) S^T and C = conj(F) S^T,
+    """Bound on max |G - I| over every entry of the n-qubit Gram matrix G, taken
+    in exact arithmetic from the computed (F, S).  The rounding of the dense rows
+    is left out, so the float residual of `multi_sjm_basis` can exceed it, by up
+    to 3.3x at random points (ROADMAP.md, item 8).  With a, b = |1 +- e^{i theta}|^2,
+    P = n/2 pairs, A = conj(F) F^T, B = conj(S) S^T and C = conj(F) S^T,
         4(G - I) = a (A^{(x)P} - I) + b (B^{(x)P} - I) + (a + b - 4) I
                    - 2i sin(theta) (C^{(x)P} - (C^H)^{(x)P}),
     and |X^{(x)P} - Y^{(x)P}| <= P |X - Y| max(|X|, |Y|)^{P-1} in the max-entry
@@ -144,7 +146,7 @@ def _reduction_vectors(pairs: int, theta: float, forward: np.ndarray,
 def _aligned_rows() -> tuple[tuple[str, float, float], ...]:
     """The `verify` rows at the aligned point (pi/2, pi/4), which do not
     depend on the point verified."""
-    ejm, aligned = original_ejm_basis().states, sjm_basis(ejm_aligned()).states
+    ejm, aligned = original_ejm_basis(), sjm_basis(ejm_aligned())
     return (
         ("aligned_ejm_orthogonality_residual",
          max(abs(inner(ejm[j], aligned[(j + 1) % 4])) for j in range(4)), 1e-10),
@@ -165,8 +167,8 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
     pairs = _pairs(n)
     components = _components(params)
     forward, swapped = _pair_matrices_of(components)
-    basis = JointBasis(_symmetrize(params.theta, forward, swapped), params)
-    gram = gram_matrix(basis.states)
+    basis = _symmetrize(params.theta, forward, swapped)
+    gram = gram_matrix(basis)
     ks, phi = range(4), params.phi
 
     def worst(values: np.ndarray, reference: np.ndarray | float) -> float:
@@ -177,13 +179,13 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
         return np.array([[multi_reduction_closed_form(k, params, m, q) for q in range(m)]
                          for k in ks])
 
-    vectors = reduction_vectors(basis.states)
+    vectors = reduction_vectors(basis)
     positions = np.arange(n)
     return [
         ("orthonormality_residual", worst(gram, np.eye(4)), 1e-10),
-        ("completeness_residual", completeness_residual(basis.states), 1e-10),
+        ("completeness_residual", completeness_residual(basis), 1e-10),
         ("construction_closed_form_residual",
-         worst(basis.states, np.array([sjm_state_closed_form(k, params) for k in ks])), 1e-12),
+         worst(basis, np.array([sjm_state_closed_form(k, params) for k in ks])), 1e-12),
         # Scalar `abs` of a complex is hypot; np.abs of a complex array can
         # differ from it in the last bit, so these rows keep the scalar form.
         ("overlap_closed_form_residual", float(max(
@@ -192,7 +194,7 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
         ("component_overlap_residual",
          max(abs(inner(m0, m1) - 1.0 / math.sqrt(2.0)) for m0, m1 in components), 1e-12),
         ("concurrence_residual",
-         worst(concurrence(basis.states), sjm_concurrence_closed_form(params.theta)), 1e-10),
+         worst(concurrence(basis), sjm_concurrence_closed_form(params.theta)), 1e-10),
         ("reduction_closed_form_residual", worst(vectors, closed(2)), 1e-10),
         ("rotational_symmetry_residual", rotation_symmetry_residual(vectors, params), 1e-10),
         ("zero_sum_residual", zero_sum_residual(vectors), 1e-10),
@@ -200,7 +202,7 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
         # sjm_state rebuilds each state from the same components: this row
         # catches a symmetrizer bug, never a component error.
         ("multi_two_qubit_match_residual",
-         worst(basis.states, np.array([sjm_state(k, params) for k in ks])), 1e-12),
+         worst(basis, np.array([sjm_state(k, params) for k in ks])), 1e-12),
         ("aux_orthogonality_residual",
          max(abs(inner(aux_state(w, +1, phi), aux_state(w, -1, phi))) for w in (0, 1)), 1e-12),
         ("overlap_product_residual",

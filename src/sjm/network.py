@@ -10,7 +10,6 @@ arcsin(sqrt(15/28)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,37 +37,13 @@ TRIANGLE_STATE = triangle_state()
 TRIANGLE_STATE.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Joint outcome probabilities p[a, b, c] for the three parties."""
-
-    params: SjmParams
-    probs: np.ndarray  # shape (4, 4, 4)
-
-    def __post_init__(self) -> None:
-        if self.probs.shape != (4, 4, 4):
-            raise ValueError(f"expected shape (4, 4, 4), got {self.probs.shape}")
-        if float(self.probs.min()) < -1e-12:
-            raise ValueError("negative probability beyond tolerance")
-
-    def prob(self, a: int, b: int, c: int) -> float:
-        return float(self.probs[a, b, c])
-
-    def total(self) -> float:
-        return float(self.probs.sum())
-
-    def p_same(self) -> float:
-        """Probability that all three outcomes coincide."""
-        return float(np.einsum("kkk->", self.probs))
-
-
-def joint_distribution(params: SjmParams) -> OutcomeDistribution:
+def joint_distribution(params: SjmParams) -> np.ndarray:
     """Brute-force distribution: project the network state onto every
-    triple of basis states."""
-    m = sjm_basis(params).states  # (4, 4): state index x amplitudes
+    triple of basis states.  The (4, 4, 4) array of probabilities p[a, b, c]."""
+    m = sjm_basis(params)  # (4, 4): state index x amplitudes
     psi = TRIANGLE_STATE.reshape(4, 4, 4)  # party pairs (A1A2), (B1B2), (C1C2)
     amps = np.einsum("ja,kb,lc,abc->jkl", m.conj(), m.conj(), m.conj(), psi)
-    return OutcomeDistribution(params=params, probs=np.abs(amps) ** 2)
+    return np.abs(amps) ** 2
 
 
 def closed_form_probability(j: int, k: int, l: int, theta: float) -> float:
@@ -109,8 +84,8 @@ def nonlocality_scan(thetas, phi: float = math.pi / 4) -> tuple[np.ndarray, np.n
 
     Every basis on the grid comes from one `sjm_basis_sweep` call, and only
     the diagonal amplitudes <k k k|network> are contracted.  The four
-    probabilities are added left to right, as `OutcomeDistribution.p_same`
-    sums them, so each value equals `joint_distribution(...).p_same()` at its
+    probabilities are added left to right, as einsum("kkk->") sums the
+    diagonal, so each value equals that sum of `joint_distribution` at its
     point bit for bit.
     """
     probs = np.abs(_diagonal_amplitudes(sjm_basis_sweep(thetas, phi).conj())) ** 2

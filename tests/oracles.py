@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from sjm.analysis import bloch_vector
-from sjm.bases import JointBasis, SjmParams, cos_k_pi, sjm_basis
+from sjm.bases import SjmParams, cos_k_pi, sjm_basis
 from sjm.circuit import GateCircuit
 from sjm.linalg import partial_trace, tensor
 from sjm.network import TRIANGLE_STATE
@@ -32,12 +32,14 @@ def unitary(circuit: GateCircuit) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def multi_reduction_vector(basis: JointBasis, ks: tuple[int, ...], position: int) -> np.ndarray:
-    """Bloch vector of one reduction of the dense state (qubit position 0-based),
-    by partial trace: the independent oracle of `multi_reduction_vectors`."""
-    if not 0 <= position < basis.n:
-        raise ValueError(f"position {position} out of range for n={basis.n}")
-    return bloch_vector(partial_trace(basis.state_for(ks), position))
+def multi_reduction_vector(states: np.ndarray, ks: tuple[int, ...], position: int) -> np.ndarray:
+    """Bloch vector of one reduction of the dense state ks of a basis (qubit
+    position 0-based), by partial trace: the independent oracle of
+    `multi_reduction_vectors`."""
+    n = states.shape[1].bit_length() - 1
+    if not 0 <= position < n:
+        raise ValueError(f"position {position} out of range for n={n}")
+    return bloch_vector(partial_trace(states[np.ravel_multi_index(ks, (4,) * len(ks))], position))
 
 
 def permutation_residual(probs: np.ndarray) -> float:
@@ -50,7 +52,7 @@ def permutation_residual(probs: np.ndarray) -> float:
 
 def outcome_amplitude(j: int, k: int, l: int, params: SjmParams) -> complex:
     """<state_j state_k state_l | network state>, computed numerically."""
-    states = sjm_basis(params).states
+    states = sjm_basis(params)
     return complex(
         np.vdot(tensor(states[j], states[k], states[l]), TRIANGLE_STATE)
     )

@@ -79,7 +79,7 @@ def test_criterion_1_orthonormality():
     checks = []
     for params in GRID:
         basis = sjm_basis(params)
-        gram = gram_matrix(basis.states)
+        gram = gram_matrix(basis)
         checks.append(
             (f"gram residual at {params}", float(np.abs(gram - np.eye(4)).max()), 1e-10)
         )
@@ -97,11 +97,11 @@ def test_criterion_2_concurrence():
     for params in GRID:
         worst = max(
             abs(concurrence(s) - 0.5 * abs(math.sin(params.theta)))
-            for s in sjm_basis(params).states
+            for s in sjm_basis(params)
         )
         checks.append((f"concurrence at {params}", worst, 1e-10))
-    endpoint_low = concurrence(sjm_basis(SjmParams(0.0, 0.2)).states[0])
-    endpoint_high = concurrence(sjm_basis(SjmParams(math.pi / 2, 0.2)).states[0])
+    endpoint_low = concurrence(sjm_basis(SjmParams(0.0, 0.2))[0])
+    endpoint_high = concurrence(sjm_basis(SjmParams(math.pi / 2, 0.2))[0])
     checks.append(("endpoint C(0)", abs(endpoint_low), 1e-10))
     checks.append(("endpoint C(pi/2)", abs(endpoint_high - 0.5), 1e-10))
     family = concurrence_curve("ejm-family", THETA_GRID)
@@ -122,7 +122,7 @@ def test_criterion_3_reductions():
                     reduction_vector(s, q) - multi_reduction_closed_form(k, params, 2, q)
                 ).max()
             )
-            for k, s in enumerate(basis.states)
+            for k, s in enumerate(basis)
             for q in (0, 1)
         )
         checks.append((f"closed-form reduction at {params}", worst, 1e-10))
@@ -135,13 +135,13 @@ def test_criterion_3_reductions():
                     - reduction_vector(s, 1)
                 ).max()
             )
-            for k, s in enumerate(basis.states)
+            for k, s in enumerate(basis)
         )
         checks.append((f"half-turn marginal map at {params}", rotation, 1e-10))
-        checks.append((f"zero-sum at {params}", zero_sum_residual(reduction_vectors(basis.states)), 1e-10))
+        checks.append((f"zero-sum at {params}", zero_sum_residual(reduction_vectors(basis)), 1e-10))
     aligned = sjm_basis(ejm_aligned())
     for qubit, expected in ((0, ALIGNED_VERTICES_FIRST), (1, ALIGNED_VERTICES_SECOND)):
-        vertices = np.array([reduction_vector(s, qubit) for s in aligned.states])
+        vertices = np.array([reduction_vector(s, qubit) for s in aligned])
         checks.append(
             (f"aligned vertices qubit {qubit}", float(np.abs(vertices - expected).max()), 1e-10)
         )
@@ -157,8 +157,8 @@ def test_criterion_3_reductions():
 
 
 def test_criterion_4_ejm_relation():
-    aligned = sjm_basis(ejm_aligned()).states
-    ejm = original_ejm_basis().states
+    aligned = sjm_basis(ejm_aligned())
+    ejm = original_ejm_basis()
     checks = []
     shifted = max(abs(inner(ejm[j], aligned[(j + 1) % 4])) for j in range(4))
     checks.append(("shifted-index orthogonality", float(shifted), 1e-10))
@@ -179,7 +179,7 @@ def test_criterion_4_ejm_relation():
 def test_criterion_5_circuit():
     checks = []
     for params in GRID:
-        report = verify_discrimination(build_sjm_circuit(params), sjm_basis(params))
+        report = verify_discrimination(build_sjm_circuit(params))
         distinct = 0.0 if report.targets_distinct else 1.0
         checks.append((f"distinct targets at {params}", distinct, 0.5))
         checks.append(
@@ -188,7 +188,7 @@ def test_criterion_5_circuit():
     aligned = ejm_aligned()
     circuit = build_sjm_circuit(aligned)
     worst_sign = 0.0
-    for k, state in enumerate(sjm_basis(aligned).states):
+    for k, state in enumerate(sjm_basis(aligned)):
         out = circuit.apply(state)
         expected = EXPECTED_SIGNS[k] * ket(format(EXPECTED_TARGETS[k], "02b"))
         worst_sign = max(worst_sign, float(np.abs(out - expected).max()))
@@ -209,18 +209,18 @@ def test_criterion_6_network():
         for phi in (math.pi / 3, -math.pi / 2):
             dist = joint_distribution(SjmParams(theta, phi))
             worst = max(
-                abs(dist.prob(a, b, c) - closed_form_probability(a, b, c, theta))
+                abs(dist[a, b, c] - closed_form_probability(a, b, c, theta))
                 for a in range(4)
                 for b in range(4)
                 for c in range(4)
             )
             checks.append((f"three-case closed form at theta={theta}, phi={phi}", worst, 1e-10))
-            checks.append((f"total at theta={theta}, phi={phi}", abs(dist.total() - 1), 1e-10))
+            checks.append((f"total at theta={theta}, phi={phi}", abs(dist.sum() - 1), 1e-10))
             checks.append(
                 (f"permutation symmetry at theta={theta}, phi={phi}",
-                 permutation_residual(dist.probs), 1e-10)
+                 permutation_residual(dist), 1e-10)
             )
-            p_same = dist.p_same()
+            p_same = float(np.einsum("kkk->", dist))
             checks.append(
                 (
                     f"equal-outcome rate at theta={theta}",
@@ -229,11 +229,11 @@ def test_criterion_6_network():
                 )
             )
     aligned = joint_distribution(ejm_aligned())
-    values = np.sort(aligned.probs.ravel())
+    values = np.sort(aligned.ravel())
     expected = np.concatenate([np.full(36, 1 / 256), np.full(24, 5 / 256), np.full(4, 25 / 256)])
     checks.append(("aligned outcome spectrum", float(np.abs(values - expected).max()), 1e-10))
     uniform = joint_distribution(SjmParams(0.0, 0.6))
-    checks.append(("product-point uniformity", float(np.abs(uniform.probs - 1 / 64).max()), 1e-10))
+    checks.append(("product-point uniformity", float(np.abs(uniform - 1 / 64).max()), 1e-10))
     thetas = np.linspace(0.0, math.pi / 2, 64)
     p_same, violates = nonlocality_scan(thetas)
     flags = violates.tolist()
@@ -257,12 +257,12 @@ def test_criterion_7_multiqubit():
         for n in (4, 6):
             basis = multi_sjm_basis(n, params)
             gram = np.array(
-                [[inner(a, b) for b in basis.states] for a in basis.states]
+                [[inner(a, b) for b in basis] for a in basis]
             )
             checks.append(
                 (
                     f"n={n} gram at theta={theta}, phi={phi}",
-                    float(np.abs(gram - np.eye(len(basis.states))).max()),
+                    float(np.abs(gram - np.eye(len(basis))).max()),
                     1e-10,
                 )
             )
@@ -270,7 +270,7 @@ def test_criterion_7_multiqubit():
         two = sjm_basis(params)
         multi_two = multi_sjm_basis(2, params)
         match = max(
-            float(np.abs(a - b).max()) for a, b in zip(two.states, multi_two.states)
+            float(np.abs(a - b).max()) for a, b in zip(two, multi_two)
         )
         checks.append((f"pairwise construction match at {params}", match, 1e-12))
     reduction_points = {
@@ -290,7 +290,7 @@ def test_criterion_7_multiqubit():
                         )
                     ).max()
                 )
-                for ks in basis.index_tuples()
+                for ks in np.ndindex((4,) * (n // 2))
                 for position in range(n)
             )
             checks.append((f"n={n} reductions at {params}", worst, 1e-10))
@@ -300,7 +300,7 @@ def test_criterion_7_multiqubit():
     yy = np.kron(PAULI_Y, PAULI_Y)
     worst_pair = 0.0
     basis = multi_sjm_basis(4, SjmParams(0.0, 0.8))
-    for state in basis.states:
+    for state in basis:
         for pair in (0, 1):
             rho = partial_trace(state, (2 * pair, 2 * pair + 1))
             rho_tilde = yy @ rho.conj() @ yy
@@ -319,7 +319,7 @@ def test_criterion_8_cross_oracle():
         params = SjmParams(
             float(rng.uniform(0.0, math.pi / 2)), float(rng.uniform(-math.pi, math.pi))
         )
-        m = np.array(sjm_basis(params).states)
+        m = np.array(sjm_basis(params))
         amps = np.einsum("ja,kb,lc,abc->jkl", m.conj(), m.conj(), m.conj(), psi)
         worst = max(
             abs(amps[j, k, l] - amplitude_closed_form(j, k, l, params))

@@ -76,7 +76,7 @@ def test_concurrence_reference_states():
 def test_concurrence_closed_form_on_grid(theta, phi):
     basis = sjm_basis(SjmParams(theta, phi))
     expected = sjm_concurrence_closed_form(theta)
-    for state in basis.states:
+    for state in basis:
         assert abs(concurrence(state) - expected) <= 1e-10
 
 
@@ -85,7 +85,7 @@ def test_concurrence_against_spin_flip_oracle(theta, phi):
     # The eigenvalue-based oracle carries sqrt-of-epsilon noise in its three
     # near-zero branches, so the agreement floor is ~1e-8, not machine epsilon.
     basis = sjm_basis(SjmParams(theta, phi))
-    for state in basis.states:
+    for state in basis:
         assert abs(concurrence(state) - wootters_concurrence(state)) <= 1e-7
 
 
@@ -111,14 +111,14 @@ def test_ejm_family_concurrence_curve():
 
 
 def test_original_ejm_iso_entangled():
-    for state in original_ejm_basis().states:
+    for state in original_ejm_basis():
         assert concurrence(state) == pytest.approx(0.5, abs=1e-10)
 
 
 @pytest.mark.parametrize("theta,phi", GRID)
 def test_purity_relation(theta, phi):
     # tr rho^2 = 1 - C^2/2 for any pure two-qubit state.
-    state = sjm_basis(SjmParams(theta, phi)).states[1]
+    state = sjm_basis(SjmParams(theta, phi))[1]
     rho = partial_trace(state, 0)
     purity = np.trace(rho @ rho).real
     c = concurrence(state)
@@ -129,7 +129,7 @@ def test_purity_relation(theta, phi):
 def test_reduction_vectors_match_closed_form(theta, phi):
     p = SjmParams(theta, phi)
     basis = sjm_basis(p)
-    for k, state in enumerate(basis.states):
+    for k, state in enumerate(basis):
         for qubit in (0, 1):
             np.testing.assert_allclose(
                 reduction_vector(state, qubit),
@@ -164,26 +164,26 @@ def test_rotation_rejects_non_unit_axis():
 def test_pi_rotation_swaps_marginals(theta, phi):
     p = SjmParams(theta, phi)
     basis = sjm_basis(p)
-    assert rotation_symmetry_residual(reduction_vectors(basis.states), p) <= 1e-10
-    for k, state in enumerate(basis.states):
+    assert rotation_symmetry_residual(reduction_vectors(basis), p) <= 1e-10
+    for k, state in enumerate(basis):
         rotated = rotation_about_axis(reduction_vector(state, 0), symmetry_axis(k, p), math.pi)
         np.testing.assert_allclose(rotated, reduction_vector(state, 1), atol=1e-10)
 
 
 @pytest.mark.parametrize("theta,phi", GRID)
 def test_zero_sum_on_grid(theta, phi):
-    assert zero_sum_residual(reduction_vectors(sjm_basis(SjmParams(theta, phi)).states)) <= 1e-10
+    assert zero_sum_residual(reduction_vectors(sjm_basis(SjmParams(theta, phi)))) <= 1e-10
 
 
 def test_zero_sum_original_ejm():
-    assert zero_sum_residual(reduction_vectors(original_ejm_basis().states)) <= 1e-10
+    assert zero_sum_residual(reduction_vectors(original_ejm_basis())) <= 1e-10
 
 
 def test_aligned_tetrahedra():
     assert aligned_tetrahedron_residual() <= 1e-10
     basis = sjm_basis(ejm_aligned())
-    first = np.array([reduction_vector(s, 0) for s in basis.states])
-    second = np.array([reduction_vector(s, 1) for s in basis.states])
+    first = np.array([reduction_vector(s, 0) for s in basis])
+    second = np.array([reduction_vector(s, 1) for s in basis])
     np.testing.assert_allclose(first, ALIGNED_VERTICES_FIRST, atol=1e-10)
     np.testing.assert_allclose(second, ALIGNED_VERTICES_SECOND, atol=1e-10)
     for vertices in (first, second):
@@ -210,7 +210,7 @@ def test_concurrence_curve_families():
 def test_concurrence_determinant_route_matches_purity_route(theta, phi, k):
     # C = 2|det M| against C = sqrt(2 (1 - tr rho^2)), with both marginals
     # sharing one purity, and both equal to sin(theta)/2.
-    state = sjm_basis(SjmParams(theta, phi)).states[k]
+    state = sjm_basis(SjmParams(theta, phi))[k]
     purities = [np.trace(rho @ rho).real for rho in (partial_trace(state, q) for q in (0, 1))]
     assert abs(purities[0] - purities[1]) <= 1e-10
     from_purity = math.sqrt(max(2.0 * (1.0 - purities[0]), 0.0))
@@ -250,7 +250,7 @@ def test_concurrence_curve_equals_pointwise_concurrence_bit_for_bit(thetas):
     ejm_values = concurrence_curve("ejm-family", thetas).tolist()
     assert len(sjm_values) == len(ejm_values) == len(thetas)
     for theta, c_sjm, c_ejm in zip(thetas, sjm_values, ejm_values):
-        state = sjm_basis(SjmParams(theta, 0.0)).states[0]
+        state = sjm_basis(SjmParams(theta, 0.0))[0]
         assert type(c_sjm) is float and c_sjm == concurrence(state) == _determinant_route(state)
         state = ejm_family_state(theta, pair)
         assert type(c_ejm) is float and c_ejm == concurrence(state) == _determinant_route(state)
@@ -259,7 +259,7 @@ def test_concurrence_curve_equals_pointwise_concurrence_bit_for_bit(thetas):
 @settings(max_examples=40, deadline=None)
 @given(points=st.lists(st.tuples(THETAS, PHIS), min_size=1, max_size=12))
 def test_stacked_concurrence_equals_single_calls_bit_for_bit(points):
-    states = np.array([sjm_basis(SjmParams(t, p)).states for t, p in points])  # (K, 4, 4)
+    states = np.array([sjm_basis(SjmParams(t, p)) for t, p in points])  # (K, 4, 4)
     values = concurrence(states)
     assert values.shape == (len(points), 4)
     for value_row, state_row in zip(values, states):

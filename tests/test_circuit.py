@@ -126,7 +126,7 @@ def test_circuit_unitary(theta, phi):
 @pytest.mark.parametrize("theta,phi", GRID)
 def test_discrimination_on_grid(theta, phi):
     p = SjmParams(theta, phi)
-    report = verify_discrimination(build_sjm_circuit(p), sjm_basis(p))
+    report = verify_discrimination(build_sjm_circuit(p))
     assert report.passed
     assert report.targets_distinct
     assert report.max_magnitude_error <= 1e-8
@@ -138,7 +138,7 @@ def test_discrimination_on_grid(theta, phi):
 @given(theta=THETAS, phi=PHIS)
 def test_discrimination_random_point(theta, phi):
     p = SjmParams(theta, phi)
-    report = verify_discrimination(build_sjm_circuit(p), sjm_basis(p))
+    report = verify_discrimination(build_sjm_circuit(p))
     assert report.passed
     assert tuple(m.target_index for m in report.mappings) == EXPECTED_TARGETS
 
@@ -148,7 +148,7 @@ def test_outcome_probabilities_one_hot(theta, phi):
     p = SjmParams(theta, phi)
     circuit = build_sjm_circuit(p)
     total = 0.0
-    for k, state in enumerate(sjm_basis(p).states):
+    for k, state in enumerate(sjm_basis(p)):
         out = circuit.apply(state)
         total += abs(out[EXPECTED_TARGETS[k]]) ** 2
     assert abs(total - 4.0) <= 4e-8
@@ -156,11 +156,11 @@ def test_outcome_probabilities_one_hot(theta, phi):
 
 def test_aligned_mapping_signs():
     p = ejm_aligned()
-    report = verify_discrimination(build_sjm_circuit(p), sjm_basis(p))
+    report = verify_discrimination(build_sjm_circuit(p))
     assert report.reference_sign_residual <= 1e-8
     assert [m.target_bits for m in report.mappings] == ["01", "11", "00", "10"]
     circuit = build_sjm_circuit(p)
-    for k, state in enumerate(sjm_basis(p).states):
+    for k, state in enumerate(sjm_basis(p)):
         out = circuit.apply(state)
         expected = EXPECTED_SIGNS[k] * ket(format(EXPECTED_TARGETS[k], "02b"))
         np.testing.assert_allclose(out, expected, atol=1e-8)
@@ -171,17 +171,10 @@ def test_product_point_maps_first_state_to_01():
     # comes out exactly as |01>.
     p = SjmParams(0.0, 0.0)
     circuit = build_sjm_circuit(p)
-    out = circuit.apply(sjm_basis(p).states[0])
+    out = circuit.apply(sjm_basis(p)[0])
     np.testing.assert_allclose(out, ket("01"), atol=1e-12)
-    report = verify_discrimination(circuit, sjm_basis(p))
+    report = verify_discrimination(circuit)
     assert report.passed
-
-
-def test_parameter_mismatch_rejected():
-    circuit = build_sjm_circuit(SjmParams(0.5, 0.2))
-    basis = sjm_basis(SjmParams(0.5, 0.3))
-    with pytest.raises(ValueError):
-        verify_discrimination(circuit, basis)
 
 
 def test_apply_rejects_wrong_size():

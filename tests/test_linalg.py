@@ -79,7 +79,7 @@ def test_partial_trace_bell_is_maximally_mixed():
 def test_partial_trace_purity_frozen():
     # Marginal purity of a basis state: tr rho^2 = 1 - sin^2(theta)/8,
     # i.e. 15/16 at theta = pi/4 (consistent with concurrence sin(theta)/2).
-    state = sjm_basis(SjmParams(math.pi / 4, 0.0)).states[0]
+    state = sjm_basis(SjmParams(math.pi / 4, 0.0))[0]
     for qubit in (0, 1):
         rho = partial_trace(state, qubit)
         assert np.trace(rho @ rho).real == pytest.approx(15.0 / 16.0, abs=1e-12)

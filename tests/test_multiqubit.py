@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import sjm.bases
 import sjm.multiqubit
 from sjm.analysis import multi_reduction_closed_form, rotation_about_axis, symmetry_axis
-from sjm.bases import (JointBasis, SjmParams, component_state, ejm_aligned, original_ejm_basis,
+from sjm.bases import (SjmParams, component_state, ejm_aligned, original_ejm_basis,
                        pair_matrices, sjm_basis, sjm_state)
 from sjm.linalg import gram_matrix, inner, orthonormality_residual, partial_trace, tensor
 from sjm.multiqubit import (
@@ -87,7 +87,7 @@ def test_two_pair_case_reduces_to_joint_basis():
         multi = multi_sjm_basis(2, params)
         reference = sjm_basis(params)
         for k in range(4):
-            np.testing.assert_allclose(multi.state_for((k,)), reference.states[k], atol=1e-12)
+            np.testing.assert_allclose(multi[k], reference[k], atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -96,7 +96,7 @@ def test_two_qubit_case_is_bit_equal_to_joint_basis(theta, phi):
     # `sjm basis` emits the rows multi_sjm_basis is built from, at every n,
     # so n = 2 must match sjm_basis bit for bit.
     params = SjmParams(theta, phi)
-    assert np.array_equal(multi_sjm_basis(2, params).states, sjm_basis(params).states)
+    assert np.array_equal(multi_sjm_basis(2, params), sjm_basis(params))
 
 
 @settings(max_examples=50, deadline=None)
@@ -112,8 +112,8 @@ def test_pair_matrix_bases_equal_the_per_state_oracle(theta, phi):
     # `multi_two_qubit_match_residual` at 0.
     params = SjmParams(theta, phi)
     oracle = np.array([sjm_state(k, params) for k in range(4)])
-    assert np.array_equal(sjm_basis(params).states, oracle)
-    assert np.array_equal(multi_sjm_basis(2, params).states, oracle)
+    assert np.array_equal(sjm_basis(params), oracle)
+    assert np.array_equal(multi_sjm_basis(2, params), oracle)
     match = {name: r for name, r, _ in multi_invariant_residuals(2, params)}
     assert match["multi_two_qubit_match_residual"] == 0.0
 
@@ -143,7 +143,7 @@ def test_basis_rows_equal_the_row_loop_bit_for_bit(n, theta, phi):
     params = SjmParams(theta, phi)
     oracle = np.array(list(_row_loop(n, params)))
     assert np.array(list(sjm.multiqubit._basis_rows(n, params))).tobytes() == oracle.tobytes()
-    assert multi_sjm_basis(n, params).states.tobytes() == oracle.tobytes()
+    assert multi_sjm_basis(n, params).tobytes() == oracle.tobytes()
 
 
 def test_basis_rows_equal_the_row_loop_at_n_12():
@@ -157,7 +157,7 @@ def test_basis_rows_equal_the_row_loop_at_n_12():
 
 @pytest.mark.parametrize("n", (2, 4, 6))
 def test_states_are_one_read_only_array(n):
-    states = multi_sjm_basis(n, SjmParams(0.5, 0.1)).states
+    states = multi_sjm_basis(n, SjmParams(0.5, 0.1))
     assert states.shape == (4 ** (n // 2), 2**n)
     assert states.dtype == np.complex128
     assert states.flags.writeable is False
@@ -166,27 +166,17 @@ def test_states_are_one_read_only_array(n):
 
 
 def test_basis_size_and_ordering():
-    # One JointBasis holds every basis, the two-qubit ones included.
+    # Every basis is one array, the two-qubit ones included, and the state of
+    # index tuple ks is row np.ravel_multi_index(ks, (4,) * len(ks)).
     params = SjmParams(0.5, 0.1)
     bases = [(2, sjm_basis(params)), (2, original_ejm_basis()),
              *((n, multi_sjm_basis(n, params)) for n in (2, 4, 6))]
     for n, basis in bases:
+        assert len(basis) == 4 ** (n // 2)
+    for n, basis in bases[2:]:
         pairs = n // 2
-        assert isinstance(basis, JointBasis)
-        assert basis.n == n
-        assert len(basis.states) == 4**pairs
-        tuples = basis.index_tuples()
-        assert tuples == sorted(tuples)
-        assert tuples == list(itertools.product(range(4), repeat=pairs))
-        assert tuples[0] == (0,) * pairs
-        assert tuples[-1] == (3,) * pairs
-        # state_for agrees with positional lookup.
-        for flat, ks in enumerate(tuples):
-            np.testing.assert_allclose(basis.state_for(ks), basis.states[flat], atol=0)
-        for bad in ((0,) * (pairs - 1), (0,) * (pairs + 1), (4,) * pairs, (-1,) * pairs):
-            with pytest.raises(ValueError):
-                basis.state_for(bad)
-    assert bases[0][1].index_tuples() == [(0,), (1,), (2,), (3,)]
+        for ks, expected in zip(itertools.product(range(4), repeat=pairs), _row_loop(n, params)):
+            assert np.array_equal(basis[np.ravel_multi_index(ks, (4,) * pairs)], expected)
 
 
 def test_invalid_sizes_rejected():
@@ -197,14 +187,6 @@ def test_invalid_sizes_rejected():
                       multi_reduction_vectors, multi_invariant_residuals):
             with pytest.raises(ValueError):
                 build(n, params)
-
-
-def test_state_for_validation():
-    basis = multi_sjm_basis(4, SjmParams(0.5, 0.1))
-    with pytest.raises(ValueError):
-        basis.state_for((0,))
-    with pytest.raises(ValueError):
-        basis.state_for((0, 4))
 
 
 def test_pair_matrices_rows_are_the_component_products():
@@ -224,7 +206,7 @@ def test_four_qubit_gram_exhaustive():
     params = SjmParams(0.7, 0.3)
     bound = multi_gram_bound(4, params)
     assert type(bound) is float
-    assert orthonormality_residual(multi_sjm_basis(4, params).states) <= bound + 1e-14
+    assert orthonormality_residual(multi_sjm_basis(4, params)) <= bound + 1e-14
     assert bound <= 1e-10
 
 
@@ -232,14 +214,14 @@ def test_four_qubit_gram_exhaustive():
 def test_six_qubit_gram_exhaustive(theta, phi):
     params = SjmParams(theta, phi)
     bound = multi_gram_bound(6, params)
-    assert orthonormality_residual(multi_sjm_basis(6, params).states) <= bound + 1e-14
+    assert orthonormality_residual(multi_sjm_basis(6, params)) <= bound + 1e-14
     assert bound <= 1e-10
 
 
 def test_eight_qubit_gram_sampled():
     # 200 seeded pairs of the dense n = 8 basis all sit inside the bound.
     params = SjmParams(0.6, 0.2)
-    states = multi_sjm_basis(8, params).states
+    states = multi_sjm_basis(8, params)
     bound = multi_gram_bound(8, params)
     rng = np.random.default_rng(7)
     for j, k in rng.integers(len(states), size=(200, 2)):
@@ -267,7 +249,7 @@ def test_gram_bound_sees_a_non_orthonormal_basis(monkeypatch):
 
     monkeypatch.setattr(sjm.bases, "component_state", perturbed)
     params = SjmParams(0.7, -1.3)
-    dense = orthonormality_residual(multi_sjm_basis(4, params).states)
+    dense = orthonormality_residual(multi_sjm_basis(4, params))
     assert dense > 1e-6
     assert multi_gram_bound(4, params) >= dense - 1e-14
 
@@ -311,10 +293,10 @@ def test_factored_checks_match_dense_oracle(theta, phi, n):
     vectors = multi_reduction_vectors(n, params)
     assert vectors.shape == (4 ** (n // 2), n, 3)
     dense = np.array([[multi_reduction_vector(basis, ks, q) for q in range(n)]
-                      for ks in basis.index_tuples()])
+                      for ks in np.ndindex((4,) * (n // 2))])
     assert np.abs(vectors - dense).max() <= 1e-13
     bound = multi_gram_bound(n, params)
-    dense_gram = orthonormality_residual(basis.states)
+    dense_gram = orthonormality_residual(basis)
     assert dense_gram <= bound + 1e-14
     assert max(bound, dense_gram) <= 1e-10
 
@@ -323,7 +305,7 @@ def test_product_structure_at_theta_zero():
     # With no mixing, every state factors into single-qubit pieces:
     # all marginals are pure, so no qubit is entangled with anything.
     basis = multi_sjm_basis(4, SjmParams(0.0, 0.8))
-    for state in basis.states:
+    for state in basis:
         for q in range(4):
             rho = partial_trace(state, q)
             assert abs(np.trace(rho @ rho).real - 1) <= 1e-12
@@ -335,14 +317,14 @@ def test_theta_zero_states_are_component_products():
     for ks in [(0, 0), (1, 3), (2, 1)]:
         factors = [component_state(k, slot, params) for k in ks for slot in (0, 1)]
         expected = functools.reduce(np.kron, factors)
-        np.testing.assert_allclose(basis.state_for(ks), expected, atol=1e-12)
+        np.testing.assert_allclose(basis[np.ravel_multi_index(ks, (4, 4))], expected, atol=1e-12)
 
 
 def _assert_reductions_match_closed_form(n: int, params: SjmParams) -> None:
     """Every reduction of the dense n-qubit basis, by partial trace, against
     `multi_reduction_closed_form`."""
     basis = multi_sjm_basis(n, params)
-    for ks in basis.index_tuples():
+    for ks in np.ndindex((4,) * (n // 2)):
         for position in range(n):
             actual = multi_reduction_vector(basis, ks, position)
             expected = multi_reduction_closed_form(ks[position // 2], params, n, position)
@@ -413,37 +395,20 @@ def test_aligned_two_pair_reduction_matches_tetrahedron():
 
 
 def test_reduction_position_validation():
-    basis = multi_sjm_basis(4, SjmParams(0.5, 0.1))
+    params = SjmParams(0.5, 0.1)
+    basis = multi_sjm_basis(4, params)
     with pytest.raises(ValueError):
         multi_reduction_vector(basis, (0, 0), 4)
     with pytest.raises(ValueError):
         multi_reduction_vector(basis, (0, 0), -1)
     with pytest.raises(ValueError):
-        multi_reduction_closed_form(0, basis.params, 4, 4)
+        multi_reduction_closed_form(0, params, 4, 4)
     with pytest.raises(ValueError):
-        multi_reduction_closed_form(0, basis.params, 2, 2)
+        multi_reduction_closed_form(0, params, 2, 2)
 
 
 def test_gram_matrix_off_diagonal_structure():
     # Spot-check the raw Gram matrix for one mid-range parameter point.
     basis = multi_sjm_basis(4, SjmParams(1.0, -0.3))
-    g = gram_matrix(basis.states)
+    g = gram_matrix(basis)
     np.testing.assert_allclose(g, np.eye(16), atol=1e-10)
-
-
-def test_bases_compare_and_hash_by_identity():
-    params = SjmParams(0.5, 0.1)
-    for build in (lambda: sjm_basis(params), lambda: multi_sjm_basis(4, params)):
-        a, b = build(), build()
-        assert a == a and a != b
-        assert hash(a) == hash(a)
-        assert {a, b, a} == {a, b}
-        assert a in {a} and b not in {a}
-
-
-def test_basis_dataclass_fields():
-    params = SjmParams(0.5, 0.1)
-    basis = multi_sjm_basis(6, params)
-    assert isinstance(basis, JointBasis)
-    assert basis.params == params
-    assert basis.states[0].shape == (64,)

@@ -13,7 +13,6 @@ from sjm.network import (
     SOURCE_PERMUTATION,
     TRIANGLE_STATE,
     TRILOCAL_BOUND,
-    OutcomeDistribution,
     _diagonal_amplitudes,
     closed_form_probability,
     joint_distribution,
@@ -25,6 +24,11 @@ from oracles import amplitude_closed_form, outcome_amplitude, permutation_residu
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
+
+
+def _p_same(dist: np.ndarray) -> float:
+    """p(a=b=c) of a (4, 4, 4) outcome table: its diagonal, summed in order."""
+    return float(np.einsum("kkk->", dist))
 
 
 def test_trilocal_bound_value():
@@ -67,27 +71,28 @@ def test_distribution_matches_closed_form(theta, phi):
         for k in range(4):
             for l in range(4):
                 expected = closed_form_probability(j, k, l, theta)
-                assert abs(dist.prob(j, k, l) - expected) <= 1e-10
+                assert abs(dist[j, k, l] - expected) <= 1e-10
 
 
 @pytest.mark.parametrize("theta,phi", [(t, p) for t in THETA_GRID for p in PHI_GRID])
 def test_distribution_normalized_and_symmetric(theta, phi):
     dist = joint_distribution(SjmParams(theta, phi))
-    assert abs(dist.total() - 1) <= 1e-10
-    assert permutation_residual(dist.probs) <= 1e-12
+    assert type(dist) is np.ndarray and dist.shape == (4, 4, 4)
+    assert abs(dist.sum() - 1) <= 1e-10
+    assert permutation_residual(dist) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi))
 def test_distribution_normalized_and_symmetric_random_point(theta, phi):
     dist = joint_distribution(SjmParams(theta, phi))
-    assert abs(dist.total() - 1) <= 1e-10
-    assert permutation_residual(dist.probs) <= 1e-12
+    assert abs(dist.sum() - 1) <= 1e-10
+    assert permutation_residual(dist) <= 1e-12
 
 
 def test_aligned_distribution_values():
     dist = joint_distribution(ejm_aligned())
-    values = np.sort(dist.probs.ravel())
+    values = np.sort(dist.ravel())
     # 36 outcomes at 1/256, 24 at 5/256, 4 at 25/256.
     np.testing.assert_allclose(values[:36], 1 / 256, atol=1e-12)
     np.testing.assert_allclose(values[36:60], 5 / 256, atol=1e-12)
@@ -96,7 +101,7 @@ def test_aligned_distribution_values():
 
 def test_product_point_distribution_uniform():
     dist = joint_distribution(SjmParams(0.0, 0.3))
-    np.testing.assert_allclose(dist.probs, 1 / 64, atol=1e-12)
+    np.testing.assert_allclose(dist, 1 / 64, atol=1e-12)
 
 
 @pytest.mark.parametrize("theta", THETA_GRID)
@@ -104,7 +109,7 @@ def test_distribution_independent_of_phi(theta):
     reference = joint_distribution(SjmParams(theta, PHI_GRID[0]))
     for phi in PHI_GRID[1:]:
         other = joint_distribution(SjmParams(theta, phi))
-        assert np.max(np.abs(other.probs - reference.probs)) <= 1e-10
+        assert np.max(np.abs(other - reference)) <= 1e-10
 
 
 @pytest.mark.parametrize("theta,phi", [(t, p) for t in THETA_GRID for p in (0.1, 2.0)])
@@ -112,7 +117,7 @@ def test_amplitude_closed_form_matches_projection(theta, phi):
     params = SjmParams(theta, phi)
     basis = sjm_basis(params)
     psi = triangle_state().reshape(4, 4, 4)
-    m = np.array(basis.states)
+    m = np.array(basis)
     amps = np.einsum("ja,kb,lc,abc->jkl", m.conj(), m.conj(), m.conj(), psi)
     for j in range(4):
         for k in range(4):
@@ -129,24 +134,24 @@ def test_outcome_amplitude_single_entry():
 
 @pytest.mark.parametrize("theta", THETA_GRID)
 def test_p_same_formula(theta):
-    p = joint_distribution(SjmParams(theta, 0.4)).p_same()
+    p = _p_same(joint_distribution(SjmParams(theta, 0.4)))
     assert abs(p - (4 + 21 * math.sin(theta) ** 2) / 64) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi))
 def test_p_same_closed_form_random_point(theta, phi):
-    p = joint_distribution(SjmParams(theta, phi)).p_same()
+    p = _p_same(joint_distribution(SjmParams(theta, phi)))
     assert abs(p - (4 + 21 * math.sin(theta) ** 2) / 64) <= 1e-10
 
 
 def test_p_same_aligned_value():
-    assert abs(joint_distribution(ejm_aligned()).p_same() - 25 / 64) <= 1e-12
+    assert abs(_p_same(joint_distribution(ejm_aligned())) - 25 / 64) <= 1e-12
 
 
 def test_p_same_monotone_in_theta():
     thetas = np.linspace(0, math.pi / 2, 21)
-    values = [joint_distribution(SjmParams(float(t), 0.2)).p_same() for t in thetas]
+    values = [_p_same(joint_distribution(SjmParams(float(t), 0.2))) for t in thetas]
     diffs = np.diff(values)
     assert np.all(diffs > -1e-12)
     assert values[0] == pytest.approx(1 / 16, abs=1e-12)
@@ -157,8 +162,8 @@ def test_threshold_value():
     target = math.asin(math.sqrt(15 / 28))
     assert abs(threshold_theta() - target) <= 1e-12
     # The equal-outcome probability crosses the trilocal bound at the threshold.
-    below = joint_distribution(SjmParams(threshold_theta() - 1e-6, 0.0)).p_same()
-    above = joint_distribution(SjmParams(threshold_theta() + 1e-6, 0.0)).p_same()
+    below = _p_same(joint_distribution(SjmParams(threshold_theta() - 1e-6, 0.0)))
+    above = _p_same(joint_distribution(SjmParams(threshold_theta() + 1e-6, 0.0)))
     assert below < TRILOCAL_BOUND < above
 
 
@@ -194,14 +199,6 @@ def test_scan_flags_and_bracket():
         assert flag == (p > TRILOCAL_BOUND + 1e-12)
 
 
-def test_distribution_validation():
-    params = SjmParams(0.2, 0.0)
-    with pytest.raises(ValueError):
-        OutcomeDistribution(params, np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        OutcomeDistribution(params, np.full((4, 4, 4), -0.1))
-
-
 def test_network_state_constant_is_the_constructed_state_read_only():
     assert np.array_equal(TRIANGLE_STATE, triangle_state())
     assert not TRIANGLE_STATE.flags.writeable
@@ -221,7 +218,7 @@ def test_scan_equals_pointwise_p_same_bit_for_bit(thetas, phi):
     assert len(p_same) == len(violates) == len(thetas)
     for p, theta in zip(p_same.tolist(), thetas):
         assert type(p) is float
-        assert p == joint_distribution(SjmParams(float(theta), phi)).p_same()
+        assert p == _p_same(joint_distribution(SjmParams(float(theta), phi)))
 
 
 def _assert_scan_is_the_einsum_bit_for_bit(thetas, phi):

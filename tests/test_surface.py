@@ -1,8 +1,8 @@
 """The public surface of `sjm` is what the package calls or the README documents.
 
-A public function or method that nothing in `src/sjm` uses and the README
-does not name is dead weight or a test oracle; oracles live in
-`tests/oracles.py`.  Both checks read the source with `ast` only.
+A public function, method or dataclass field that nothing in `src/sjm` uses
+and the README does not name is dead weight or a test oracle; oracles live in
+`tests/oracles.py`.  Every check reads the source with `ast` only.
 """
 import ast
 import re
@@ -39,10 +39,15 @@ def _used(module: str, name: str) -> bool:
                for other, tree in MODULES.items())
 
 
-def test_every_public_function_and_method_is_used_in_src_or_named_in_the_readme():
+def _documented() -> set[str]:
+    """Every identifier in the README's code spans and code blocks."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    documented = set(re.findall(r"[A-Za-z_]\w*",
-                                " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))))
+    return set(re.findall(r"[A-Za-z_]\w*",
+                          " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))))
+
+
+def test_every_public_function_and_method_is_used_in_src_or_named_in_the_readme():
+    documented = _documented()
     attrs = {node.attr for tree in MODULES.values() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}
     unused = []
@@ -64,3 +69,23 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [f"{module}.{bound}" for module, tree in MODULES.items()
               for bound in _imported(tree) if bound not in _names(tree)]
     assert not unused, "imported and never used: " + ", ".join(unused)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_public_dataclass_field_is_read_in_src_or_named_in_the_readme():
+    read = {node.attr for tree in MODULES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}.{node.name}.{item.target.id}"
+              for module, tree in MODULES.items() for node in tree.body
+              if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+              and _is_dataclass(node)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    unread = [name for name in unread if name.rsplit(".", 1)[1] not in _documented()]
+    assert not unread, "read nowhere in src/sjm, not named in README.md: " + ", ".join(unread)
