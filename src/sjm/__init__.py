@@ -8,7 +8,6 @@ statistics it generates, and build its even-n multiqubit generalization.
 from .analysis import (
     bloch_vector,
     concurrence,
-    concurrence_curve,
     multi_reduction_closed_form,
     reduction_vector,
     rotation_about_axis,
@@ -22,8 +21,7 @@ from .bases import (
     PHI_OFFSETS,
     SjmParams,
     bell_psi_plus,
-    component_state,
-    direction_state,
+    component_states,
     ejm_aligned,
     ejm_family_state,
     original_ejm_basis,

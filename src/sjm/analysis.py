@@ -9,13 +9,11 @@ pi-rotation symmetry relating the two marginals of every basis state.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .bases import (SjmParams, _theta_grid, cos_k_pi, ejm_aligned, ejm_family_state, sjm_basis,
-                    sjm_basis_sweep)
-from .linalg import PAULIS, ket, num_qubits, partial_trace
+from .bases import SjmParams, cos_k_pi, ejm_aligned, sjm_basis
+from .linalg import PAULIS, num_qubits, partial_trace
 
 TOL_AXIS = 1e-10
 
@@ -153,20 +151,3 @@ def aligned_tetrahedron_residual() -> float:
                      np.abs(np.linalg.norm(vertices, axis=2) - math.sqrt(3.0) / 2.0).max(),
                      np.abs(edges - math.sqrt(2.0)).max()))
 
-
-def concurrence_curve(family: str, thetas: Sequence[float]) -> np.ndarray:
-    """Numeric concurrence at each theta of a grid, as one array, for one of
-    the two state families.
-
-    family is "sjm" (the basis states, all four share one value) or
-    "ejm-family" (the interpolating family).  The tests compare these values
-    against the closed forms `sjm_concurrence_closed_form` and
-    `ejm_family_concurrence_closed_form` (in `tests/oracles.py`).
-    """
-    if family == "sjm":
-        states = sjm_basis_sweep(thetas, 0.0)[:, 0]
-    elif family == "ejm-family":
-        states = ejm_family_state(_theta_grid(thetas), (ket("0"), ket("1")))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return concurrence(states)

@@ -14,13 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import inner, ket, tensor
+from .linalg import ket, tensor
 
 PHI_OFFSETS = (0.0, math.pi / 2, math.pi, -math.pi / 2)
 
 # Normalization shared by the component pair, 1/sqrt(4 + 2*sqrt(2)).
 _COMPONENT_NORM = 1.0 / math.sqrt(4.0 + 2.0 * math.sqrt(2.0))
 _EIGHTH_TURN = np.exp(0.25j * math.pi)  # e^{i pi/4}
+_COS_K_PI = np.array([1.0, -1.0, 1.0, -1.0])  # cos(k pi), k = 0..3
+# The slot weights w_0 = e^{-i pi/4} and w_1 = e^{i pi/4}, as a [slot, 1] column.
+_SLOT_TURNS = np.array([[_EIGHTH_TURN.conjugate()], [_EIGHTH_TURN]])
 
 
 def cos_k_pi(k: int) -> float:
@@ -89,42 +92,31 @@ def _index_array(pairs: int) -> np.ndarray:
     return np.indices((4,) * pairs).reshape(pairs, -1).T
 
 
-def direction_state(k: int, sign: int, params: SjmParams) -> np.ndarray:
-    """One of the orthonormal single-qubit pair along measurement direction k.
+def component_states(params: SjmParams) -> np.ndarray:
+    """The eight non-orthogonal component states as a new complex (4, 2, 2)
+    array indexed [k, slot, amplitude]: every basis and every certificate
+    starts from them.
 
-    sign=+1 gives the state aligned with the direction, sign=-1 the
-    antipodal one.  For even k these are |0> and -|1> up to the azimuthal
-    phase e^{-+ i phi_k / 2}; for odd k the roles of |0> and |1> swap.
+    Along direction k, with h_k = e^{i phi_k/2} and c_k = cos(k pi), the
+    orthonormal pair d^+-_k = (sqrt(1 +- c_k)/h_k, +-sqrt(1 -+ c_k) h_k)/sqrt 2
+    gives m_{k,s} = ((1 + w_s) d^+_k + (1 + conj w_s) d^-_k)/sqrt(4 + 2 sqrt 2),
+    with w_0 = e^{-i pi/4} and w_1 = e^{i pi/4}: the two slots overlap by
+    exactly 1/sqrt(2).
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    ck = cos_k_pi(k)
-    half_phase = np.exp(0.5j * params.phi_k(k))
-    a = math.sqrt(1.0 + sign * ck) / half_phase
-    b = sign * math.sqrt(1.0 - sign * ck) * half_phase
-    return np.array([a, b], dtype=complex) / math.sqrt(2.0)
-
-
-def component_state(k: int, slot: int, params: SjmParams) -> np.ndarray:
-    """One of the non-orthogonal pair the basis states are built from.
-
-    The two slots (0 and 1) are superpositions of the direction pair with
-    weights 1 + e^{-+ i pi/4}; their mutual overlap is exactly 1/sqrt(2).
-    """
-    if slot not in (0, 1):
-        raise ValueError(f"slot must be 0 or 1, got {slot}")
-    plus = direction_state(k, +1, params)
-    minus = direction_state(k, -1, params)
-    w = _EIGHTH_TURN if slot else _EIGHTH_TURN.conjugate()
-    return _COMPONENT_NORM * ((1.0 + w) * plus + (1.0 + w.conjugate()) * minus)
+    half_phase = np.exp(0.5j * (params.phi + np.array(PHI_OFFSETS)))  # h_k
+    sign = np.array([[1.0], [-1.0]])  # d^+ then d^-, broadcast over k
+    directions = np.stack([np.sqrt(1.0 + sign * _COS_K_PI) / half_phase,
+                           sign * np.sqrt(1.0 - sign * _COS_K_PI) * half_phase],
+                          axis=-1) / math.sqrt(2.0)  # [sign, k, amplitude]
+    plus, minus = directions[:, :, None]  # each [k, 1, amplitude]: broadcasts over slots
+    return _COMPONENT_NORM * ((1.0 + _SLOT_TURNS) * plus + (1.0 + _SLOT_TURNS.conj()) * minus)
 
 
 def sjm_state(k: int, params: SjmParams) -> np.ndarray:
     """Basis state k as the symmetrized product of its component pair, built
     on its own: the oracle `verify` and the tests hold the pair-matrix bases to."""
     mix = np.exp(1j * params.theta)
-    m0 = component_state(k, 0, params)
-    m1 = component_state(k, 1, params)
+    m0, m1 = component_states(params)[_state_index(k)]
     return 0.5 * ((1.0 + mix) * tensor(m0, m1) + (1.0 - mix) * tensor(m1, m0))
 
 
@@ -158,24 +150,16 @@ def sjm_basis(params: SjmParams) -> np.ndarray:
     return _read_only(_symmetrize(params.theta, *pair_matrices(params)))
 
 
-def _components(params: SjmParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The eight component states as pairs (m_{k,0}, m_{k,1}), k = 0..3: every
-    basis and every certificate starts from them."""
-    return [(component_state(k, 0, params), component_state(k, 1, params)) for k in range(4)]
-
-
 def pair_matrices(params: SjmParams) -> tuple[np.ndarray, np.ndarray]:
     """The 4x4 pair matrices (F, S): row k of F is m_{k,0} (x) m_{k,1}, row k
     of S is m_{k,1} (x) m_{k,0}.  They depend on phi only, not on theta."""
-    return _pair_matrices_of(_components(params))
+    return _pair_matrices_of(component_states(params))
 
 
-def _pair_matrices_of(
-    components: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(F, S) from the component pairs (m_{k,0}, m_{k,1}), k = 0..3, as
-    broadcast outer products: the bits of `tensor` row by row."""
-    first, second = np.array(components).swapaxes(0, 1)  # each [k, amplitude]
+def _pair_matrices_of(components: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, S) from the (4, 2, 2) `component_states` array, as broadcast outer
+    products: the bits of `tensor` row by row."""
+    first, second = components.swapaxes(0, 1)  # each [k, amplitude]
     return ((first[:, :, None] * second[:, None, :]).reshape(4, 4),
             (second[:, :, None] * first[:, None, :]).reshape(4, 4))
 
@@ -192,19 +176,14 @@ def sjm_basis_sweep(thetas: Sequence[float], phi: float) -> np.ndarray:
     return _symmetrize(column, *pair_matrices(SjmParams(0.0, phi)))
 
 
-def _theta_grid(thetas: Sequence[float]) -> np.ndarray:
-    """thetas as a new 1-D float array; any other shape raises ValueError."""
-    grid = np.array(thetas, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError(f"theta grid must be 1-D, got shape {grid.shape}")
-    return grid
-
-
 def _checked_thetas(thetas: Sequence[float]) -> np.ndarray:
     """A 1-D theta grid as a new float array, each value checked and snapped
     as `_checked_theta` does: values in [0, pi/2] (-0.0 among them) are kept
-    as one array, and only the rest go through `_checked_theta`, in order."""
-    grid = _theta_grid(thetas)
+    as one array, and only the rest go through `_checked_theta`, in order.
+    A grid of any other shape raises ValueError."""
+    grid = np.array(thetas, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"theta grid must be 1-D, got shape {grid.shape}")
     outside = ~((grid >= 0.0) & (grid <= math.pi / 2))
     grid[outside] = [_checked_theta(theta) for theta in grid[outside].tolist()]
     return grid
@@ -246,30 +225,20 @@ def original_ejm_basis() -> np.ndarray:
     return _read_only(np.array([original_ejm_state(j) for j in range(4)]))
 
 
-def ejm_family_state(theta: float | np.ndarray,
-                     m_pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def ejm_family_state(theta: float | np.ndarray) -> np.ndarray:
     """Representative state of the one-parameter family interpolating toward
-    maximal entanglement:
+    maximal entanglement (concurrence 1/2 at theta = 0, 1 at pi/2):
 
-        (1/(2 sqrt 2)) * ((sqrt 3 + e^{i theta}) |m0 m1> +
-                          (sqrt 3 - e^{i theta}) |m1 m0>)
+        (1/(2 sqrt 2)) * ((sqrt 3 + e^{i theta}) |01> +
+                          (sqrt 3 - e^{i theta}) |10>)
 
-    m_pair must be an orthonormal single-qubit pair.  A 1-D array of thetas
-    gives the states as rows of one array, shape (len(theta), 4).
+    A 1-D array of thetas gives the states as rows of one array, shape
+    (len(theta), 4).
     """
-    m0, m1 = m_pair
-    if (
-        abs(inner(m0, m0) - 1.0) > 1e-10
-        or abs(inner(m1, m1) - 1.0) > 1e-10
-        or abs(inner(m0, m1)) > 1e-10
-    ):
-        raise ValueError("m_pair must be an orthonormal single-qubit pair")
     # A 1-D theta gives one state per row: mix broadcasts over the amplitudes.
     mix = np.exp(1j * np.asarray(theta, dtype=float))[..., None]
     root3 = math.sqrt(3.0)
-    return ((root3 + mix) * tensor(m0, m1) + (root3 - mix) * tensor(m1, m0)) / (
-        2.0 * math.sqrt(2.0)
-    )
+    return ((root3 + mix) * ket("01") + (root3 - mix) * ket("10")) / (2.0 * math.sqrt(2.0))
 
 
 def bell_psi_plus() -> np.ndarray:

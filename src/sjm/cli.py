@@ -32,8 +32,8 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import concurrence_curve
-from .bases import SjmParams, _index_array, ejm_aligned
+from .analysis import concurrence
+from .bases import SjmParams, _index_array, ejm_aligned, ejm_family_state, sjm_basis_sweep
 from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
 from .multiqubit import (
     TOL_GRAM, _basis_rows, multi_gram_bound, multi_invariant_residuals, multi_reduction_vectors,
@@ -113,15 +113,15 @@ def _angle(value: float | None, frac: str | None, flag: str, default: float) -> 
 
 
 def params_from_args(args: argparse.Namespace) -> SjmParams:
-    """Validate the flags before any computation: write the angles back into
-    `args` in radians and return the one `SjmParams` the command reads."""
-    args.theta = _angle(args.theta, args.theta_frac, "theta", DEFAULT_THETA)
-    args.phi = _angle(args.phi, args.phi_frac, "phi", DEFAULT_PHI)
+    """Validate the flags before any computation and return the one
+    `SjmParams` the command reads its angles from, in radians."""
+    theta = _angle(args.theta, args.theta_frac, "theta", DEFAULT_THETA)
+    phi = _angle(args.phi, args.phi_frac, "phi", DEFAULT_PHI)
     if not 1 <= args.grid_steps <= GRID_STEPS_CAP:
         raise ValueError(f"grid-steps must be in [1, {GRID_STEPS_CAP}], got {args.grid_steps}")
     if args.output == "":
         raise ValueError("--output needs a non-empty path")
-    return SjmParams(args.theta, args.phi)
+    return SjmParams(theta, phi)
 
 
 @dataclass(frozen=True)
@@ -309,8 +309,9 @@ def write_csv(table: Table, out: TextIO) -> None:
         out.write(text)
 
 
-def _point(args: argparse.Namespace) -> dict:
-    return {"theta": args.theta, "phi": args.phi}
+def _point(params: SjmParams) -> dict:
+    """The angles a command used: snapped onto their range, as the checks saw them."""
+    return {"theta": params.theta, "phi": params.phi}
 
 
 def cmd_basis(args: argparse.Namespace, params: SjmParams) -> Table:
@@ -319,7 +320,7 @@ def cmd_basis(args: argparse.Namespace, params: SjmParams) -> Table:
     rows = ((*ks, *state.view(float).tolist())
             for ks, state in zip(_index_array(args.n // 2).tolist(), states))
     return Table(
-        head={"command": "basis", "n": args.n, **_point(args)}, key="states",
+        head={"command": "basis", "n": args.n, **_point(params)}, key="states",
         shape={"index": [0] * (args.n // 2), "amplitudes": [[0.0, 0.0]] * 2**args.n}, rows=rows,
         header=["index"] + [f"amp{i}_{p}" for i in range(2**args.n) for p in ("re", "im")],
     )
@@ -330,7 +331,7 @@ def cmd_verify(args: argparse.Namespace, params: SjmParams) -> Table:
               for name, r, tol in multi_invariant_residuals(args.n, params)]
     all_pass = all(passed for *_, passed in report)
     return Table(
-        head={"command": "verify", **_point(args), "n": args.n}, key="invariants",
+        head={"command": "verify", **_point(params), "n": args.n}, key="invariants",
         shape={"name": "", "residual": 0.0, "tolerance": 0.0, "pass": False}, rows=report,
         tail={"all_pass": all_pass}, code=0 if all_pass else 1,
     )
@@ -340,7 +341,7 @@ def cmd_circuit(args: argparse.Namespace, params: SjmParams) -> Table:
     circuit = build_sjm_circuit(params)
     report = verify_discrimination(circuit)
     return Table(
-        head={"command": "circuit", **_point(args), "circuit": circuit_to_dict(circuit)},
+        head={"command": "circuit", **_point(params), "circuit": circuit_to_dict(circuit)},
         key="mappings",
         shape={"state": 0, "target": 0, "target_bits": "", "magnitude": 0.0, "phase": 0.0},
         rows=[(m.state_index, m.target_index, m.target_bits, m.magnitude, m.phase)
@@ -355,9 +356,9 @@ def cmd_circuit(args: argparse.Namespace, params: SjmParams) -> Table:
 def cmd_network(args: argparse.Namespace, params: SjmParams) -> Table:
     if args.mode == "scan":
         thetas = np.linspace(0.0, math.pi / 2, args.grid_steps)
-        p_same, violates = nonlocality_scan(thetas, args.phi)
+        p_same, violates = nonlocality_scan(thetas, params.phi)
         return Table(
-            head={"command": "network-scan", "phi": args.phi, "grid_steps": args.grid_steps,
+            head={"command": "network-scan", "phi": params.phi, "grid_steps": args.grid_steps,
                   "bound": TRILOCAL_BOUND},
             key="points", shape={"theta": 0.0, "p_same": 0.0, "violates": False},
             rows=zip(thetas.tolist(), p_same.tolist(), violates.tolist()),
@@ -367,10 +368,10 @@ def cmd_network(args: argparse.Namespace, params: SjmParams) -> Table:
     # C order of the (4, 4, 4) table is the order of the outcomes (a, b, c).
     rows = [(*outcome, p)
             for outcome, p in zip(itertools.product(range(4), repeat=3), probs.ravel().tolist())]
-    residual = max(abs(p - closed_form_probability(a, b, c, args.theta)) for a, b, c, p in rows)
+    residual = max(abs(p - closed_form_probability(a, b, c, params.theta)) for a, b, c, p in rows)
     ok = residual <= 1e-10
     return Table(
-        head={"command": "network-table", **_point(args)}, key="outcomes",
+        head={"command": "network-table", **_point(params)}, key="outcomes",
         shape={"a": 0, "b": 0, "c": 0, "probability": 0.0},
         rows=rows, code=0 if ok else 1,
         tail={"total": float(probs.sum()), "closed_form_residual": residual, "pass": ok},
@@ -379,7 +380,9 @@ def cmd_network(args: argparse.Namespace, params: SjmParams) -> Table:
 
 def cmd_curve(args: argparse.Namespace, params: SjmParams) -> Table:
     thetas = np.linspace(0.0, math.pi / 2, args.grid_steps + 1)
-    c_sjm, c_ejm = (concurrence_curve(family, thetas) for family in ("sjm", "ejm-family"))
+    # All four basis states share one concurrence, and phi does not change it.
+    c_sjm = concurrence(sjm_basis_sweep(thetas, 0.0)[:, 0])
+    c_ejm = concurrence(ejm_family_state(thetas))
     return Table(
         head={"command": "curve", "grid_steps": args.grid_steps}, key="points",
         shape={"theta": 0.0, "c_sjm": 0.0, "c_ejm_family": 0.0, "c_original_ejm": 0.0},
@@ -398,7 +401,7 @@ def cmd_multiqubit(args: argparse.Namespace, params: SjmParams) -> Table:
             for ks, state in zip(map(np.ndarray.tolist, _index_array(pairs)), vectors)
             for position, xyz in enumerate(state.tolist()))
     return Table(
-        head={"command": "multiqubit", "n": args.n, **_point(args), "gram": {"residual": residual}},
+        head={"command": "multiqubit", "n": args.n, **_point(params), "gram": {"residual": residual}},
         key="reductions", shape={"index": [0] * pairs, "position": 0, "x": 0.0, "y": 0.0, "z": 0.0},
         rows=rows, tail={"pass": ok}, code=0 if ok else 1,
     )

@@ -19,8 +19,8 @@ import numpy as np
 from .analysis import (aligned_tetrahedron_residual, concurrence, multi_reduction_closed_form,
                        reduction_vectors, rotation_symmetry_residual, sjm_concurrence_closed_form,
                        zero_sum_residual)
-from .bases import (_COMPONENT_NORM, _EIGHTH_TURN, SjmParams, _components, _index_array,
-                    _pair_matrices_of, _read_only, _symmetrize, ejm_aligned, original_ejm_basis,
+from .bases import (_COMPONENT_NORM, _EIGHTH_TURN, SjmParams, _index_array, _pair_matrices_of,
+                    _read_only, _symmetrize, component_states, ejm_aligned, original_ejm_basis,
                     pair_matrices, sjm_basis, sjm_overlap_closed_form, sjm_state,
                     sjm_state_closed_form)
 from .linalg import PAULIS, completeness_residual, gram_matrix, inner, tensor
@@ -165,7 +165,7 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
     the basis and its reduction vectors are built once, and the aligned rows
     at import; `sjm_state` stays the independent oracle."""
     pairs = _pairs(n)
-    components = _components(params)
+    components = component_states(params)
     forward, swapped = _pair_matrices_of(components)
     basis = _symmetrize(params.theta, forward, swapped)
     gram = gram_matrix(basis)

@@ -15,6 +15,29 @@ from sjm.linalg import partial_trace, tensor
 from sjm.network import TRIANGLE_STATE
 
 
+def direction_state(k: int, sign: int, params: SjmParams) -> np.ndarray:
+    """One of the orthonormal pair along direction k (sign +1 or -1), one
+    scalar at a time: (sqrt(1 + s ck)/h, s sqrt(1 - s ck) h)/sqrt 2 with
+    h = e^{i phi_k/2}.  The reference `component_states` broadcasts, with the
+    same operations in the same order."""
+    ck = cos_k_pi(k)
+    half_phase = np.exp(0.5j * params.phi_k(k))
+    a = math.sqrt(1.0 + sign * ck) / half_phase
+    b = sign * math.sqrt(1.0 - sign * ck) * half_phase
+    return np.array([a, b], dtype=complex) / math.sqrt(2.0)
+
+
+def component_state(k: int, slot: int, params: SjmParams) -> np.ndarray:
+    """m_{k,slot} from its direction pair, with weights 1 + e^{-+ i pi/4}: the
+    reference for `component_states(params)[k, slot]`, bit for bit."""
+    plus = direction_state(k, +1, params)
+    minus = direction_state(k, -1, params)
+    norm = 1.0 / math.sqrt(4.0 + 2.0 * math.sqrt(2.0))
+    turn = np.exp(0.25j * math.pi)
+    w = turn if slot else turn.conjugate()
+    return norm * ((1.0 + w) * plus + (1.0 + w.conjugate()) * minus)
+
+
 def ejm_family_concurrence_closed_form(theta: float) -> float:
     """Concurrence of the interpolating family: (1/2) sqrt(1 + 3 sin^2 theta)."""
     return 0.5 * math.sqrt(1.0 + 3.0 * math.sin(theta) ** 2)

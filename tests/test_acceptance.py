@@ -15,7 +15,6 @@ from sjm.analysis import (
     ALIGNED_VERTICES_FIRST,
     ALIGNED_VERTICES_SECOND,
     concurrence,
-    concurrence_curve,
     multi_reduction_closed_form,
     reduction_vector,
     reduction_vectors,
@@ -28,6 +27,7 @@ from sjm.bases import (
     SjmParams,
     cos_k_pi,
     ejm_aligned,
+    ejm_family_state,
     original_ejm_basis,
     sjm_basis,
     sjm_overlap_closed_form,
@@ -104,7 +104,7 @@ def test_criterion_2_concurrence():
     endpoint_high = concurrence(sjm_basis(SjmParams(math.pi / 2, 0.2))[0])
     checks.append(("endpoint C(0)", abs(endpoint_low), 1e-10))
     checks.append(("endpoint C(pi/2)", abs(endpoint_high - 0.5), 1e-10))
-    family = concurrence_curve("ejm-family", THETA_GRID)
+    family = concurrence(ejm_family_state(THETA_GRID))
     worst_family = max(
         abs(c - ejm_family_concurrence_closed_form(t)) for t, c in zip(THETA_GRID, family.tolist())
     )

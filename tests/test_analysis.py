@@ -11,7 +11,6 @@ from sjm.analysis import (
     aligned_tetrahedron_residual,
     bloch_vector,
     concurrence,
-    concurrence_curve,
     multi_reduction_closed_form,
     reduction_vector,
     reduction_vectors,
@@ -28,6 +27,7 @@ from sjm.bases import (
     ejm_family_state,
     original_ejm_basis,
     sjm_basis,
+    sjm_basis_sweep,
 )
 from sjm.linalg import PAULI_Y, ket, partial_trace, tensor
 
@@ -106,7 +106,7 @@ def test_concurrence_endpoints():
 
 def test_ejm_family_concurrence_curve():
     for theta in THETA_GRID:
-        state = ejm_family_state(theta, (ket("0"), ket("1")))
+        state = ejm_family_state(theta)
         assert abs(concurrence(state) - ejm_family_concurrence_closed_form(theta)) <= 1e-10
 
 
@@ -192,17 +192,21 @@ def test_aligned_tetrahedra():
         )
 
 
+def _curves(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The two concurrence columns of `sjm curve` over a grid: the SJM's and
+    the EJM family's."""
+    return (concurrence(sjm_basis_sweep(thetas, 0.0)[:, 0]),
+            concurrence(ejm_family_state(thetas)))
+
+
 def test_concurrence_curve_families():
     thetas = np.linspace(0.0, math.pi / 2, 9)
-    c_sjm = concurrence_curve("sjm", thetas)
-    c_ejm = concurrence_curve("ejm-family", thetas)
+    c_sjm, c_ejm = _curves(thetas)
     assert c_sjm.shape == c_ejm.shape == (9,)
     assert c_sjm[0] == pytest.approx(0.0, abs=1e-12)
     assert c_sjm[-1] == pytest.approx(0.5, abs=1e-12)
     assert c_ejm[0] == pytest.approx(0.5, abs=1e-12)
     assert c_ejm[-1] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        concurrence_curve("bell", thetas)
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,9 +226,10 @@ def test_concurrence_determinant_route_matches_purity_route(theta, phi, k):
 @settings(max_examples=60, deadline=None)
 @given(thetas=st.lists(THETAS, min_size=1, max_size=5))
 def test_concurrence_curve_matches_closed_forms(thetas):
-    for theta, value in zip(thetas, concurrence_curve("sjm", thetas)):
+    c_sjm, c_ejm = _curves(thetas)
+    for theta, value in zip(thetas, c_sjm):
         assert abs(value - math.sin(theta) / 2.0) <= 1e-10
-    for theta, value in zip(thetas, concurrence_curve("ejm-family", thetas)):
+    for theta, value in zip(thetas, c_ejm):
         assert abs(value - 0.5 * math.sqrt(1.0 + 3.0 * math.sin(theta) ** 2)) <= 1e-10
 
 
@@ -245,14 +250,12 @@ CURVE_THETAS = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(thetas=CURVE_THETAS)
 def test_concurrence_curve_equals_pointwise_concurrence_bit_for_bit(thetas):
-    pair = (ket("0"), ket("1"))
-    sjm_values = concurrence_curve("sjm", thetas).tolist()
-    ejm_values = concurrence_curve("ejm-family", thetas).tolist()
+    sjm_values, ejm_values = (curve.tolist() for curve in _curves(thetas))
     assert len(sjm_values) == len(ejm_values) == len(thetas)
     for theta, c_sjm, c_ejm in zip(thetas, sjm_values, ejm_values):
         state = sjm_basis(SjmParams(theta, 0.0))[0]
         assert type(c_sjm) is float and c_sjm == concurrence(state) == _determinant_route(state)
-        state = ejm_family_state(theta, pair)
+        state = ejm_family_state(theta)
         assert type(c_ejm) is float and c_ejm == concurrence(state) == _determinant_route(state)
 
 

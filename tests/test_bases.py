@@ -3,23 +3,21 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sjm.multiqubit
-from sjm.analysis import concurrence_curve, multi_reduction_closed_form, symmetry_axis
+from sjm.analysis import multi_reduction_closed_form, symmetry_axis
 from sjm.bases import (
     EJM_PHI,
     PHI_OFFSETS,
     SjmParams,
     _checked_theta,
     _checked_thetas,
-    _components,
     _pair_matrices_of,
     bell_psi_plus,
-    component_state,
+    component_states,
     cos_k_pi,
-    direction_state,
     ejm_aligned,
     ejm_family_state,
     original_ejm_basis,
@@ -41,6 +39,8 @@ from sjm.linalg import (
     tensor,
 )
 from sjm.network import nonlocality_scan
+
+from oracles import component_state
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
@@ -77,78 +77,57 @@ def test_cos_k_pi_exact():
     assert [cos_k_pi(k) for k in range(5)] == [1.0, -1.0, 1.0, -1.0, 1.0]
 
 
-def test_direction_state_collapsed_even_k():
-    p = SjmParams(0.5, 0.0)
-    np.testing.assert_allclose(direction_state(0, +1, p), ket("0"), atol=1e-15)
-    np.testing.assert_allclose(direction_state(0, -1, p), -ket("1"), atol=1e-15)
-
-
-def test_direction_state_collapsed_odd_k():
-    # k=1 at phi=0: phi_1 = pi/2, so the pair collapses onto |1> and |0>
-    # with e^{+-i pi/4} phases.
-    p = SjmParams(0.5, 0.0)
-    np.testing.assert_allclose(
-        direction_state(1, +1, p), np.exp(0.25j * math.pi) * ket("1"), atol=1e-15
-    )
-    np.testing.assert_allclose(
-        direction_state(1, -1, p), np.exp(-0.25j * math.pi) * ket("0"), atol=1e-15
-    )
-
-
-@pytest.mark.parametrize("phi", PHI_GRID)
-def test_direction_states_orthonormal(phi):
-    p = SjmParams(0.4, phi)
-    for k in range(4):
-        plus = direction_state(k, +1, p)
-        minus = direction_state(k, -1, p)
-        assert abs(inner(plus, plus) - 1) < 1e-12
-        assert abs(inner(minus, minus) - 1) < 1e-12
-        assert abs(inner(plus, minus)) < 1e-12
-
-
-def test_direction_state_bad_sign():
-    with pytest.raises(ValueError):
-        direction_state(0, 0, SjmParams(0.1, 0.1))
-
-
 def test_component_state_frozen():
     p = SjmParams(0.5, 0.0)
     scale = 1.0 / math.sqrt(4.0 + 2.0 * math.sqrt(2.0))
     expected = scale * np.array(
         [1.0 + np.exp(-0.25j * math.pi), -(1.0 + np.exp(0.25j * math.pi))]
     )
-    np.testing.assert_allclose(component_state(0, 0, p), expected, atol=1e-15)
+    np.testing.assert_allclose(component_states(p)[0, 0], expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("phi", PHI_GRID)
 @pytest.mark.parametrize("k", range(4))
 def test_component_states_normalized_with_fixed_overlap(k, phi):
     p = SjmParams(0.9, phi)
-    m0 = component_state(k, 0, p)
-    m1 = component_state(k, 1, p)
+    m0, m1 = component_states(p)[k]
     assert np.linalg.norm(m0) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(m1) == pytest.approx(1.0, abs=1e-12)
     assert inner(m0, m1) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
-def test_component_state_bad_slot():
-    with pytest.raises(ValueError):
-        component_state(0, 2, SjmParams(0.1, 0.1))
+@settings(max_examples=2000, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi))
+@example(theta=0.3, phi=-math.pi)
+@example(theta=0.3, phi=-math.pi / 2)
+@example(theta=0.3, phi=0.0)
+@example(theta=0.3, phi=math.pi / 2)
+@example(theta=0.3, phi=math.pi)
+def test_component_states_are_the_scalar_chain_bit_for_bit(theta, phi):
+    params = SjmParams(theta, phi)
+    states = component_states(params)
+    assert states.shape == (4, 2, 2) and states.dtype == np.complex128
+    expected = np.array([[component_state(k, slot, params) for slot in (0, 1)] for k in range(4)])
+    assert np.array_equal(states.view(np.uint64), expected.view(np.uint64))
+
+
+def test_component_states_are_a_new_array_each_call():
+    params = SjmParams(0.3, 0.2)
+    states = component_states(params)
+    states[:] = 0.0
+    assert np.abs(component_states(params)).min() > 0.0
 
 
 @pytest.mark.parametrize("k", (-1, 4))
 @pytest.mark.parametrize("build", [
     lambda k, p: sjm_state(k, p),
     lambda k, p: sjm_state_closed_form(k, p),
-    lambda k, p: component_state(k, 0, p),
-    lambda k, p: direction_state(k, +1, p),
     lambda k, p: sjm_overlap_closed_form(0, k, p),
     lambda k, p: symmetry_axis(k, p),
     lambda k, p: multi_reduction_closed_form(k, p, 2, 0),
     lambda k, p: original_ejm_state(k),
-], ids=["sjm_state", "sjm_state_closed_form", "component_state", "direction_state",
-        "sjm_overlap_closed_form", "symmetry_axis", "multi_reduction_closed_form",
-        "original_ejm_state"])
+], ids=["sjm_state", "sjm_state_closed_form", "sjm_overlap_closed_form", "symmetry_axis",
+        "multi_reduction_closed_form", "original_ejm_state"])
 def test_state_index_outside_0_to_3_rejected(build, k):
     # -1 used to wrap round to state 3, and 4 to raise a bare IndexError.
     with pytest.raises(ValueError, match="state index"):
@@ -195,7 +174,7 @@ def test_theta_zero_states_are_products():
         singular = np.linalg.svd(state.reshape(2, 2), compute_uv=False)
         assert singular[1] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(
-            state, np.kron(component_state(k, 0, params), component_state(k, 1, params)),
+            state, np.kron(*component_states(params)[k]),
             atol=1e-12,
         )
 
@@ -259,18 +238,11 @@ def test_cross_overlap_closed_form_all_pairs():
 
 
 def test_ejm_family_state_frozen_at_zero():
-    state = ejm_family_state(0.0, (ket("0"), ket("1")))
+    state = ejm_family_state(0.0)
     scale = 1.0 / (2.0 * math.sqrt(2.0))
     expected = scale * np.array([0.0, math.sqrt(3.0) + 1.0, math.sqrt(3.0) - 1.0, 0.0])
     np.testing.assert_allclose(state, expected, atol=1e-15)
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ejm_family_state_rejects_bad_pair():
-    with pytest.raises(ValueError):
-        ejm_family_state(0.3, (ket("0"), ket("0")))
-    with pytest.raises(ValueError):
-        ejm_family_state(0.3, (2.0 * ket("0"), ket("1")))
 
 
 def test_bell_psi_plus():
@@ -336,8 +308,7 @@ def test_theta_check_keeps_negative_zero_and_leaves_the_caller_grid_alone():
     (0.5, "()"), (np.array(0.5), "()"), (np.zeros((3, 2)), "(3, 2)"), ([[0.1], [0.2]], "(2, 1)"),
 ])
 def test_theta_sweeps_reject_a_grid_that_is_not_1d(thetas, shape):
-    sweeps = (lambda: sjm_basis_sweep(thetas, 0.3), lambda: nonlocality_scan(thetas, 0.3),
-              lambda: concurrence_curve("sjm", thetas), lambda: concurrence_curve("ejm-family", thetas))
+    sweeps = (lambda: sjm_basis_sweep(thetas, 0.3), lambda: nonlocality_scan(thetas, 0.3))
     for sweep in sweeps:
         with pytest.raises(ValueError, match=f"theta grid must be 1-D, got shape {re.escape(shape)}"):
             sweep()
@@ -346,7 +317,7 @@ def test_theta_sweeps_reject_a_grid_that_is_not_1d(thetas, shape):
 @settings(max_examples=60, deadline=None)
 @given(phi=st.floats(-math.pi, math.pi))
 def test_pair_matrices_equal_the_tensor_rows_bit_for_bit(phi):
-    components = _components(SjmParams(0.0, phi))
+    components = component_states(SjmParams(0.0, phi))
     forward, swapped = _pair_matrices_of(components)
     assert forward.tobytes() == np.array([tensor(m0, m1) for m0, m1 in components]).tobytes()
     assert swapped.tobytes() == np.array([tensor(m1, m0) for m0, m1 in components]).tobytes()
@@ -361,8 +332,7 @@ def test_pair_matrices_do_not_depend_on_theta():
 @settings(max_examples=40, deadline=None)
 @given(thetas=st.lists(st.floats(-10.0, 10.0), max_size=20))
 def test_ejm_family_state_on_a_theta_array_is_the_stack_of_single_states(thetas):
-    pair = (ket("0"), ket("1"))
-    stacked = ejm_family_state(np.array(thetas, dtype=float), pair)
+    stacked = ejm_family_state(np.array(thetas, dtype=float))
     assert stacked.shape == (len(thetas), 4)
     for row, theta in zip(stacked, thetas):
-        assert np.array_equal(row, ejm_family_state(theta, pair))
+        assert np.array_equal(row, ejm_family_state(theta))

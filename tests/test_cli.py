@@ -29,7 +29,7 @@ import sjm.linalg
 import sjm.multiqubit
 import sjm.network
 from sjm.analysis import aligned_tetrahedron_residual
-from sjm.bases import component_state, ejm_aligned
+from sjm.bases import component_states, ejm_aligned
 from sjm.circuit import build_sjm_circuit, circuit_to_dict
 from sjm.linalg import partial_trace
 from sjm.cli import (
@@ -110,6 +110,21 @@ def test_fraction_flag_matches_radian_flag():
     _, out_frac = _stdout(["basis", "--theta-frac", "1/2", "--phi-frac", "1/4"])
     _, out_rad = _stdout(["basis", "--theta", repr(math.pi / 2), "--phi", repr(math.pi / 4)])
     assert out_frac == out_rad
+
+
+@pytest.mark.parametrize("command", [["basis"], ["verify"], ["circuit"], ["network", "table"],
+                                     ["network", "scan"], ["multiqubit"]], ids="-".join)
+def test_commands_echo_the_snapped_angles_they_used(command):
+    # Both angles sit 1e-13 outside their range, so SjmParams snaps them onto
+    # 0 and pi: the output names the angles the command computed with.
+    code, out = _stdout(command + ["--theta=-1e-13", f"--phi={math.pi + 1e-13!r}"])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["phi"] == _fmt(math.pi)
+    if command != ["network", "scan"]:
+        assert doc["theta"] == 0.0
+    if command == ["circuit"]:
+        assert (doc["circuit"]["theta"], doc["circuit"]["phi"]) == (doc["theta"], doc["phi"])
 
 
 def test_verify_default_all_pass():
@@ -706,14 +721,18 @@ def test_identical_invocations_give_identical_bytes(run, theta, phi, fmt):
     assert first[1]
 
 
+def _perturbed(params):
+    """`component_states` with m_{2,1} 1e-6 too long."""
+    states = component_states(params)
+    states[2, 1] *= 1.0 + 1e-6
+    return states
+
+
 def test_certificate_catches_a_perturbed_component(monkeypatch):
     # One component state 1e-6 too long: the factored Gram bound and the
     # factored reductions must both see it.
-    def perturbed(k, slot, params):
-        state = component_state(k, slot, params)
-        return state * (1.0 + 1e-6) if (k, slot) == (2, 1) else state
-
-    monkeypatch.setattr(sjm.bases, "component_state", perturbed)
+    for module in (sjm.bases, sjm.multiqubit):
+        monkeypatch.setattr(module, "component_states", _perturbed)
     code, out = _stdout(["verify", "--n", "8", "--theta", "0.7", "--phi=-1.3"])
     assert code == 1
     doc = json.loads(out)
@@ -723,26 +742,21 @@ def test_certificate_catches_a_perturbed_component(monkeypatch):
 
 
 def test_verify_builds_its_components_once(monkeypatch):
-    # One construction of the basis serves every row; the per-state
-    # `sjm_state` oracle builds its own 8 components on top.
+    # One construction of the components serves every row of the basis; the
+    # per-state `sjm_state` oracle builds them once more for each of its 4 states.
     params = sjm.bases.SjmParams(0.7, -1.3)
-    counts = {"_components": 0, "component_state": 0}
+    calls = []
 
-    def counting(name, fn):
-        def counted(*args):
-            counts[name] += args[-1] == params
-            return fn(*args)
-        return counted
+    def counted(p):
+        calls.append(p)
+        return component_states(p)
 
-    components = counting("_components", sjm.bases._components)
     for module in (sjm.bases, sjm.multiqubit):
-        monkeypatch.setattr(module, "_components", components)
-    monkeypatch.setattr(sjm.bases, "component_state",
-                        counting("component_state", sjm.bases.component_state))
+        monkeypatch.setattr(module, "component_states", counted)
     code, out = _stdout(["verify", "--theta", "0.7", "--phi=-1.3"])
     assert code == 0
     assert len(json.loads(out)["invariants"]) == 16
-    assert counts == {"_components": 1, "component_state": 16}
+    assert calls == [params] * 5
 
 
 def test_verify_gathers_its_reduction_vectors_once(monkeypatch):
@@ -770,16 +784,13 @@ def _aligned_residuals(out: str) -> dict:
 
 def test_aligned_rows_do_not_follow_a_patched_library(monkeypatch):
     # The rows at (pi/2, pi/4) are computed once, at import, so no cache
-    # can pick up a patched component_state and serve it to later calls.
+    # can pick up a patched component_states and serve it to later calls.
     argv = ["verify", "--theta", "0.7", "--phi=-1.3"]
     before = _aligned_residuals(_stdout(argv)[1])
     assert before["aligned_tetrahedron_residual"] == _fmt(aligned_tetrahedron_residual())
 
-    def perturbed(k, slot, params):
-        state = component_state(k, slot, params)
-        return state * (1.0 + 1e-6) if (k, slot) == (2, 1) else state
-
-    monkeypatch.setattr(sjm.bases, "component_state", perturbed)
+    for module in (sjm.bases, sjm.multiqubit):
+        monkeypatch.setattr(module, "component_states", _perturbed)
     assert _fmt(aligned_tetrahedron_residual()) != before["aligned_tetrahedron_residual"]
     assert _aligned_residuals(_stdout(argv)[1]) == before
     monkeypatch.undo()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import sjm.bases
 import sjm.multiqubit
 from sjm.analysis import multi_reduction_closed_form, rotation_about_axis, symmetry_axis
-from sjm.bases import (SjmParams, component_state, ejm_aligned, original_ejm_basis,
+from sjm.bases import (SjmParams, component_states, ejm_aligned, original_ejm_basis,
                        pair_matrices, sjm_basis, sjm_state)
 from sjm.linalg import gram_matrix, inner, orthonormality_residual, partial_trace, tensor
 from sjm.multiqubit import (
@@ -65,19 +65,18 @@ def test_component_states_are_relabeled_aux_states(phi):
         2: -1j * aux_state(1, +1, phi),
         3: aux_state(1, +1, phi),
     }
-    for k in range(4):
-        np.testing.assert_allclose(component_state(k, 0, params), table0[k], atol=1e-12)
-        np.testing.assert_allclose(component_state(k, 1, params), table1[k], atol=1e-12)
+    for k, (m0, m1) in enumerate(component_states(params)):
+        np.testing.assert_allclose(m0, table0[k], atol=1e-12)
+        np.testing.assert_allclose(m1, table1[k], atol=1e-12)
 
 
 def test_pairwise_overlap_products_are_kronecker_delta():
     rng = np.random.default_rng(41)
     for phi in rng.uniform(-math.pi, math.pi, size=4):
-        params = SjmParams(0.9, float(phi))
+        m = component_states(SjmParams(0.9, float(phi)))
         for j in range(4):
             for k in range(4):
-                value = (inner(component_state(j, 0, params), component_state(k, 0, params))
-                         * inner(component_state(j, 1, params), component_state(k, 1, params)))
+                value = inner(m[j, 0], m[k, 0]) * inner(m[j, 1], m[k, 1])
                 assert abs(value - (1.0 if j == k else 0.0)) <= 1e-12
 
 
@@ -194,7 +193,7 @@ def test_pair_matrices_rows_are_the_component_products():
     forward, swapped = pair_matrices(params)
     assert forward.shape == swapped.shape == (4, 4)
     for k in range(4):
-        m0, m1 = component_state(k, 0, params), component_state(k, 1, params)
+        m0, m1 = component_states(params)[k]
         assert np.array_equal(forward[k], tensor(m0, m1))
         assert np.array_equal(swapped[k], tensor(m1, m0))
 
@@ -243,11 +242,13 @@ def test_gram_bound_certifies_every_n(n, theta, phi):
 
 
 def test_gram_bound_sees_a_non_orthonormal_basis(monkeypatch):
-    def perturbed(k, slot, params):
-        state = component_state(k, slot, params)
-        return state * (1.0 + 1e-6) if (k, slot) == (1, 0) else state
+    def perturbed(params):
+        states = component_states(params)
+        states[1, 0] *= 1.0 + 1e-6
+        return states
 
-    monkeypatch.setattr(sjm.bases, "component_state", perturbed)
+    for module in (sjm.bases, sjm.multiqubit):
+        monkeypatch.setattr(module, "component_states", perturbed)
     params = SjmParams(0.7, -1.3)
     dense = orthonormality_residual(multi_sjm_basis(4, params))
     assert dense > 1e-6
@@ -315,7 +316,7 @@ def test_theta_zero_states_are_component_products():
     params = SjmParams(0.0, -0.4)
     basis = multi_sjm_basis(4, params)
     for ks in [(0, 0), (1, 3), (2, 1)]:
-        factors = [component_state(k, slot, params) for k in ks for slot in (0, 1)]
+        factors = [component_states(params)[k, slot] for k in ks for slot in (0, 1)]
         expected = functools.reduce(np.kron, factors)
         np.testing.assert_allclose(basis[np.ravel_multi_index(ks, (4, 4))], expected, atol=1e-12)
 
