@@ -2,7 +2,8 @@
 
 Commands emit JSON (default) or CSV on stdout, write to a file with
 --output, and send diagnostics to stderr.  Exit codes: 0 all checks pass,
-1 a verification failed, 2 invalid input or an unwritable --output.
+1 a verification failed, 2 invalid input, an output that cannot be written
+(an --output file is replaced only once whole) or memory exhaustion.
 Identical invocations produce byte-identical output (--seed changes nothing).
 All floats are emitted with 15 significant digits.
 
@@ -17,15 +18,18 @@ but where the JSON of the rounded float differs (1.0 for 1, NaN, ...).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import functools
 import io
 import itertools
 import json
 import math
+import os
 import re
+import stat
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -407,6 +411,41 @@ def cmd_multiqubit(args: argparse.Namespace, params: SjmParams) -> Table:
     )
 
 
+def _write_file(path: str, table: Table, write) -> None:
+    """`write(table, file)` into a new file beside `path`, renamed onto it once
+    whole: a failed run never creates or truncates `path`.  The file gets the
+    mode open(path, "w") would give it.  A path that is neither a regular file
+    nor missing (a device, a FIFO, a directory) is opened as it is."""
+    try:
+        existing = os.stat(path)
+    except FileNotFoundError:
+        existing = None
+    if existing is not None and not stat.S_ISREG(existing.st_mode):
+        with open(path, "w", encoding="utf-8") as out:
+            write(table, out)
+        return
+    target = os.path.realpath(path)  # through a symlink, as open() writes
+    if existing is not None:
+        os.close(os.open(target, os.O_WRONLY))  # fails as open(path, "w") would
+    for attempt in itertools.count():
+        temp = os.path.join(os.path.dirname(target), f".sjm-{os.getpid()}-{attempt}.tmp")
+        try:  # 0o666 less the umask, as for a file open() creates
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            if existing is not None:
+                os.chmod(fd, stat.S_IMODE(existing.st_mode))
+            write(table, out)
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
 # Built once: main parses every argv with it and reports errors through it.
 _PARSER = build_parser()
 
@@ -414,15 +453,28 @@ _PARSER = build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        return _run(args)
+    except MemoryError:
+        _PARSER.error("out of memory")
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command, write its table and return its exit code."""
+    try:
         table = args.run(args, params_from_args(args))
     except ValueError as exc:
         _PARSER.error(str(exc))
     # Every input error is reported above, before the output is opened, so
     # invalid input never creates or truncates an --output file.
+    write = write_json if args.format == "json" else write_csv
     path = args.output
     try:
-        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
-            (write_json if args.format == "json" else write_csv)(table, out)
+        if path:
+            _write_file(path, table, write)
+        elif sys.stdout is None:  # the interpreter started with its fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            write(table, sys.stdout)
     except OSError as exc:
         _PARSER.error(f"cannot write {path or 'stdout'}: {exc.strerror or exc}")
     return table.code

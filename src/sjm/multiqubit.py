@@ -5,8 +5,9 @@ built by the same two-term symmetrization as the two-qubit case applied
 across all pairs at once.  Orthonormality rests on the identity
 <m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}> = delta_{jk}, made transparent by two
 auxiliary orthonormal single-qubit bases.  Each state is a sum of two
-product states over the pairs, so the Gram check and the reductions work
-from the 4x4 pair matrices alone; only `_basis_rows` makes dense (2^n) states.
+product states over the pairs, so the Gram matrix is A^{(x)(n/2)} for the 4x4
+matrix A of those overlaps, and the Gram check and the reductions work from
+the 4x4 pair matrices alone; only `_basis_rows` makes dense (2^n) states.
 `multi_invariant_residuals` is the list of invariants `sjm verify` prints.
 """
 from __future__ import annotations
@@ -87,29 +88,24 @@ def multi_sjm_basis(n: int, params: SjmParams) -> np.ndarray:
 
 
 def multi_gram_bound(n: int, params: SjmParams) -> float:
-    """Bound on max |G - I| over every entry of the n-qubit Gram matrix G, taken
-    in exact arithmetic from the computed (F, S).  The rounding of the dense rows
-    is left out, so the float residual of `multi_sjm_basis` can exceed it, by up
-    to 3.3x at random points (ROADMAP.md, item 8).  With a, b = |1 +- e^{i theta}|^2,
-    P = n/2 pairs, A = conj(F) F^T, B = conj(S) S^T and C = conj(F) S^T,
-        4(G - I) = a (A^{(x)P} - I) + b (B^{(x)P} - I) + (a + b - 4) I
-                   - 2i sin(theta) (C^{(x)P} - (C^H)^{(x)P}),
-    and |X^{(x)P} - Y^{(x)P}| <= P |X - Y| max(|X|, |Y|)^{P-1} in the max-entry
-    norm (telescoping; the norm is multiplicative over Kronecker products)."""
-    return _gram_bound(_pairs(n), params.theta, *pair_matrices(params))
+    """Bound on max |G - I| over every entry of the n-qubit Gram matrix G.
+
+    G = A^{(x)P} exactly, for P = n/2 pairs and A = conj(F) F^T: of G's
+    mixed-product terms, B = conj(S) S^T equals A, and C = conj(F) S^T is
+    Hermitian with weight 2 Re(conj(alpha) beta) = 0, alpha, beta = (1 +-
+    e^{i theta})/2 (tests/test_symbolic.py proves these, and A = I).  The
+    bound is the telescoped power gap P |A - I| max(|A|, 1)^{P-1} in the
+    max-entry norm, which is multiplicative over Kronecker products, taken in
+    exact arithmetic from the computed F.  It leaves out the rounding of A's
+    products, of e^{i theta} and of the dense rows, so the float residual of
+    `multi_sjm_basis` can exceed it (ROADMAP.md, item 8)."""
+    return _gram_bound(_pairs(n), pair_matrices(params)[0])
 
 
-def _gram_bound(pairs: int, theta: float, forward: np.ndarray, swapped: np.ndarray) -> float:
-    mix = np.exp(1j * theta)
-    a, b = abs(1.0 + mix) ** 2, abs(1.0 - mix) ** 2
-    cross = forward.conj() @ swapped.T
-
-    def power_gap(x: np.ndarray, y: np.ndarray) -> float:
-        return pairs * np.abs(x - y).max() * max(np.abs(x).max(), np.abs(y).max()) ** (pairs - 1)
-
-    return float(0.25 * (a * power_gap(forward.conj() @ forward.T, np.eye(4))
-                         + b * power_gap(swapped.conj() @ swapped.T, np.eye(4)) + abs(a + b - 4.0)
-                         + 2.0 * abs(math.sin(theta)) * power_gap(cross, cross.conj().T)))
+def _gram_bound(pairs: int, forward: np.ndarray) -> float:
+    overlaps = forward.conj() @ forward.T  # A
+    return float(pairs * np.abs(overlaps - np.eye(4)).max()
+                 * max(np.abs(overlaps).max(), 1.0) ** (pairs - 1))
 
 
 def multi_reduction_vectors(n: int, params: SjmParams) -> np.ndarray:
@@ -208,7 +204,7 @@ def multi_invariant_residuals(n: int, params: SjmParams) -> list[tuple[str, floa
         ("overlap_product_residual",
          max(abs(_overlap_product(components[j], components[k]) - float(j == k))
              for j in ks for k in ks), 1e-12),
-        ("multi_gram_residual", _gram_bound(pairs, params.theta, forward, swapped), TOL_GRAM),
+        ("multi_gram_residual", _gram_bound(pairs, forward), TOL_GRAM),
         ("multi_reduction_residual",
          worst(_reduction_vectors(pairs, params.theta, forward, swapped),
                closed(n)[_index_array(pairs)[:, positions // 2], positions]), 1e-10),

@@ -2,12 +2,15 @@
 
 import contextlib
 import csv
+import errno
 import importlib
 import io
 import json
 import math
 import os
 import re
+import resource
+import stat
 import subprocess
 import sys
 import tempfile
@@ -376,17 +379,171 @@ def test_overflowing_angle_fraction_exits_2(command, flag, value):
     assert "Traceback" not in err
 
 
-def test_overflowing_angle_fraction_exits_2_from_the_shell():
+def _sjm_child(argv, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m sjm.cli *argv` in a child process, stderr captured as text."""
     path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sjm.cli", "verify", "--theta-frac=1e400"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
-    )
+    # One BLAS thread: OpenBLAS sizes its buffers by thread count.
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "sjm.cli", *argv], stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120, **kwargs)
+
+
+def _assert_one_error_line(err: str, message: str) -> None:
+    lines = err.splitlines()
+    assert lines[-1].startswith(f"sjm: error: {message}")
+    assert sum(line.startswith("sjm: error:") for line in lines) == 1
+    assert "Traceback" not in err
+
+
+def test_overflowing_angle_fraction_exits_2_from_the_shell():
+    proc = _sjm_child(["verify", "--theta-frac=1e400"], stdout=subprocess.PIPE)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1].startswith("sjm: error: cannot parse --theta-frac")
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_2():
+    # With fd 1 closed at start-up, the interpreter sets sys.stdout to None.
+    proc = _sjm_child(["verify"], preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    _assert_one_error_line(proc.stderr, "cannot write stdout: ")
+
+
+class _FailingAfter:
+    """A text stream that takes `budget` more characters, then fails as a
+    file at its size limit does."""
+
+    def __init__(self, out, budget: int):
+        self.out, self.budget = out, budget
+
+    def write(self, text: str) -> int:
+        if len(text) > self.budget:
+            self.out.write(text[:self.budget])
+            self.budget = 0
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+        self.budget -= len(text)
+        return self.out.write(text)
+
+
+class _Recorder:
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return len(text)
+
+
+# basis --n 6 writes its header, then its 64 rows in three chunks.
+CHUNKED = ["basis", "--n", "6"]
+
+
+def _budgets(fmt: str) -> list[int]:
+    """One character before, at and after the end of each write but the last."""
+    recorder = _Recorder()
+    with contextlib.redirect_stdout(recorder):
+        assert main([*CHUNKED, "--format", fmt]) == 0
+    assert len(recorder.sizes) >= 4
+    ends = np.cumsum(recorder.sizes[:-1]).tolist()
+    return [end + step for end in ends for step in (-1, 0, 1)]
+
+
+def _failing_writer(monkeypatch, fmt: str, budget: int) -> None:
+    name = "write_json" if fmt == "json" else "write_csv"
+    writer = getattr(sjm.cli, name)
+    monkeypatch.setattr(sjm.cli, name, lambda table, out: writer(table, _FailingAfter(out, budget)))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failed_output_write_keeps_the_old_file(monkeypatch, tmp_path, fmt):
+    path = tmp_path / "keep"
+    path.write_bytes(b"old bytes\n")
+    for budget in _budgets(fmt):
+        with monkeypatch.context() as patch:
+            _failing_writer(patch, fmt, budget)
+            code, out, err = _exit_stdout_and_stderr([*CHUNKED, "--format", fmt,
+                                                      "--output", str(path)])
+        assert code == 2, budget
+        assert out == ""
+        _assert_one_error_line(err, f"cannot write {path}: File too large")
+        assert path.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["keep"]  # no temporary file left behind
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failed_stdout_write_exits_2(monkeypatch, fmt):
+    for budget in _budgets(fmt)[::4]:
+        with monkeypatch.context() as patch:
+            _failing_writer(patch, fmt, budget)
+            code, _, err = _exit_stdout_and_stderr([*CHUNKED, "--format", fmt])
+        assert code == 2, budget
+        _assert_one_error_line(err, "cannot write stdout: File too large")
+
+
+def test_output_file_gets_the_mode_open_would_give(tmp_path):
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    reference = tmp_path / "reference"
+    open(reference, "w").close()
+    existing.write_text("old\n", encoding="utf-8")
+    os.chmod(existing, 0o604)
+    for path in (fresh, existing):
+        assert _stdout(["curve", "--grid-steps", "4", "--output", str(path)]) == (0, "")
+        assert path.read_text(encoding="utf-8") == _stdout(["curve", "--grid-steps", "4"])[1]
+    assert os.stat(fresh).st_mode == os.stat(reference).st_mode
+    assert os.stat(existing).st_mode & 0o777 == 0o604
+    assert sorted(os.listdir(tmp_path)) == ["existing", "fresh", "reference"]
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("old\n", encoding="utf-8")
+    link.symlink_to(target)
+    assert _stdout(["curve", "--grid-steps", "4", "--output", str(link)]) == (0, "")
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == _stdout(["curve", "--grid-steps", "4"])[1]
+
+
+def test_output_to_a_device_writes_through_it():
+    # A device is written as it is, never replaced by a renamed file.
+    assert _stdout(["curve", "--grid-steps", "4", "--output", os.devnull]) == (0, "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_output_file_size_limit_keeps_the_old_file(tmp_path):
+    # The 160 KB table passes RLIMIT_FSIZE's 20 KB: the write fails with EFBIG
+    # (the interpreter ignores SIGXFSZ), and the old file stays as it was.
+    path = tmp_path / "f"
+    path.write_bytes(b"old bytes\n")
+    limit = lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (20 * 1024, resource.RLIM_INFINITY))
+    proc = _sjm_child([*CHUNKED, "--format", "csv", "--output", str(path)],
+                      stdout=subprocess.PIPE, preexec_fn=limit)
+    assert proc.returncode == 2
+    _assert_one_error_line(proc.stderr, f"cannot write {path}: File too large")
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["f"]
+
+
+@pytest.mark.parametrize("stage", ["multi_invariant_residuals", "write_json"])
+def test_memory_error_exits_2(monkeypatch, stage):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sjm.cli, stage, exhausted)
+    code, _, err = _exit_stdout_and_stderr(["verify"])
+    assert code == 2
+    _assert_one_error_line(err, "out of memory")
+
+
+def test_address_space_limit_exits_2():
+    # basis --n 12 needs about 32 MB for its two Kronecker heads, more than a
+    # 150 MB address-space cap leaves after the interpreter and numpy.
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (150 * 2**20, resource.RLIM_INFINITY))
+    proc = _sjm_child(["basis", "--n", "12", "--format", "csv"], stdout=subprocess.DEVNULL,
+                      preexec_fn=limit)
+    assert proc.returncode == 2
+    _assert_one_error_line(proc.stderr, "out of memory")
 
 
 ERROR_LINE = re.compile(r"sjm( [a-z]+)*: error: ")

@@ -228,6 +228,24 @@ def test_eight_qubit_gram_sampled():
         assert abs(inner(states[j], states[k]) - expected) <= bound + 1e-14
 
 
+# Worst |gram - A^{(x)P}| seen over 3000+ random points: 4.4e-16 at n = 2,
+# 6.7e-16 at n = 4 and 1.4e-15 at n = 6, where each entry sums 64 products.
+GRAM_ROUNDING = {2: 1e-15, 4: 1e-15, 6: 2e-15}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from((2, 4, 6)), theta=THETAS, phi=PHIS)
+@example(n=4, theta=0.7, phi=-1.3)
+@example(n=6, theta=math.pi / 2, phi=math.pi / 4)
+def test_dense_gram_matrix_is_the_kronecker_power_of_a(n, theta, phi):
+    # G = A^{(x)P} with A = conj(F) F^T: the one matrix `multi_gram_bound` reads.
+    params = SjmParams(theta, phi)
+    forward = pair_matrices(params)[0]
+    overlaps = forward.conj() @ forward.T
+    gram = gram_matrix(multi_sjm_basis(n, params))
+    assert np.abs(gram - tensor(*[overlaps] * (n // 2))).max() <= GRAM_ROUNDING[n]
+
+
 def test_gram_bound_needs_no_rng():
     assert list(inspect.signature(multi_gram_bound).parameters) == ["n", "params"]
     assert list(inspect.signature(multi_invariant_residuals).parameters) == ["n", "params"]

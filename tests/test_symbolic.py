@@ -10,8 +10,26 @@ certificate rests on.  For every state k = 0..3:
 And the EJM family state `ejm_family_state(theta)` has concurrence
 (1/2) sqrt(1 + 3 sin^2 theta).
 
+The n-qubit Gram matrix is A^{(x)P} = I, for P = n/2 pairs and
+A = conj(F) F^T: for eight generic 2-vectors m_{k,s}, with F, S the pair
+matrices and alpha, beta any weights,
+
+- B = conj(S) S^T equals A, and C = conj(F) S^T is Hermitian;
+- one pair's Gram matrix is |alpha|^2 A + |beta|^2 B + conj(alpha) beta C
+  + alpha conj(beta) C^H (the Kronecker mixed-product rule lifts it to P
+  pairs);
+
+and for the SJM weights alpha, beta = (1 +- e^{i theta})/2,
+|alpha|^2 + |beta|^2 = 1 and conj(alpha) beta + alpha conj(beta) = 0.
+For the SJM components, m_{k,s}(phi) = diag(e^{-i phi/2}, e^{i phi/2})
+m_{k,s}(0), so no overlap of two components depends on phi, and at phi = 0
+every entry of A is delta_jk.  Also exact: the two states of each auxiliary
+pair `aux_state` are orthogonal, and the pair rows f_k, s_k of F and S have
+<f_k|f_k> = <s_k|s_k> = 1 and <s_k|f_k> = 1/2.
+
 Each formula restated here is tied to the function it restates by
-evaluating both at random points.
+evaluating both at random points, and each proof fails once one of its
+coefficients slips by 1/64.
 """
 import math
 
@@ -23,8 +41,9 @@ from hypothesis import strategies as st
 
 from sjm.analysis import concurrence, sjm_concurrence_closed_form
 from sjm.bases import (PHI_OFFSETS, SjmParams, component_states, ejm_family_state,
-                       sjm_overlap_closed_form, sjm_state, sjm_state_closed_form)
+                       pair_matrices, sjm_overlap_closed_form, sjm_state, sjm_state_closed_form)
 from sjm.linalg import inner
+from sjm.multiqubit import aux_state
 
 from oracles import ejm_family_concurrence_closed_form
 
@@ -138,6 +157,141 @@ def test_state_overlaps_are_the_overlap_closed_form(j):
         assert _is_zero((closed_form(j).H * closed_form(k))[0] - state_overlap(j, k))
 
 
+def generic_pairs() -> tuple[sp.Matrix, sp.Matrix]:
+    """F and S of eight generic complex 2-vectors m_{k,s}: any component states."""
+    m = [[sp.Matrix(sp.symbols(f"m{k}{slot}_:2")) for slot in (0, 1)] for k in range(4)]
+    return (sp.Matrix([list(_kron(m0, m1)) for m0, m1 in m]),
+            sp.Matrix([list(_kron(m1, m0)) for m0, m1 in m]))
+
+
+def overlap_matrices() -> tuple[sp.Matrix, sp.Matrix, sp.Matrix]:
+    """(A, B, C) = (conj(F) F^T, conj(S) S^T, conj(F) S^T) of `generic_pairs`."""
+    forward, swapped = generic_pairs()
+    return (forward.conjugate() * forward.T, swapped.conjugate() * swapped.T,
+            forward.conjugate() * swapped.T)
+
+
+def _vanishes(matrix: sp.Matrix) -> bool:
+    """Whether every entry, a polynomial in generic symbols and their
+    conjugates, is identically zero."""
+    return all(sp.expand(entry) == 0 for entry in matrix)
+
+
+def swapped_overlap_gap(one: sp.Expr = sp.Integer(1)) -> sp.Matrix:
+    """B - A."""
+    overlaps, swapped, _ = overlap_matrices()
+    return swapped - one * overlaps
+
+
+def cross_overlap_gap(one: sp.Expr = sp.Integer(1)) -> sp.Matrix:
+    """C - C^H."""
+    cross = overlap_matrices()[2]
+    return cross - one * cross.H
+
+
+def one_pair_gram_gap(cross_weight: sp.Expr = sp.Integer(1)) -> sp.Matrix:
+    """G - (|alpha|^2 A + |beta|^2 B + conj(alpha) beta C + alpha conj(beta) C^H)
+    for the states alpha F + beta S, alpha and beta generic."""
+    alpha, beta = sp.symbols("alpha beta")
+    forward, swapped = generic_pairs()
+    states = alpha * forward + beta * swapped
+    overlaps, swapped_overlaps, cross = overlap_matrices()
+    expansion = (alpha * sp.conjugate(alpha) * overlaps
+                 + beta * sp.conjugate(beta) * swapped_overlaps
+                 + cross_weight * sp.conjugate(alpha) * beta * cross
+                 + alpha * sp.conjugate(beta) * cross.H)
+    return states.conjugate() * states.T - expansion
+
+
+def weight_gaps(one: sp.Expr = sp.Integer(1)) -> tuple[sp.Expr, sp.Expr]:
+    """|alpha|^2 + |beta|^2 - 1 and conj(alpha) beta + alpha conj(beta) for
+    alpha, beta = (1 +- e^{i theta}) / 2, the weights of F and S in `_symmetrize`."""
+    mix = sp.exp(sp.I * THETA)
+    alpha, beta = HALF * (1 + mix), HALF * (one - mix)
+    return (alpha * sp.conjugate(alpha) + beta * sp.conjugate(beta) - 1,
+            sp.conjugate(alpha) * beta + alpha * sp.conjugate(beta))
+
+
+def phase_gap(k: int, slot: int, half: sp.Expr = HALF) -> sp.Matrix:
+    """m_{k,s}(phi) - diag(e^{-i phi/2}, e^{i phi/2}) m_{k,s}(0)."""
+    turn = sp.diag(sp.exp(-sp.I * half * PHI), sp.exp(sp.I * half * PHI))
+    return component(k, slot) - turn * component(k, slot).subs(PHI, 0)
+
+
+def identity_gaps(one: sp.Expr = sp.Integer(1)) -> list[sp.Expr]:
+    """A[j, k] - delta_jk at phi = 0 for the 10 entries j <= k (A is Hermitian),
+    A[j, k] = <m_{j,0}|m_{k,0}> <m_{j,1}|m_{k,1}>."""
+    m = {(k, slot): component(k, slot).subs(PHI, 0) for k in range(4) for slot in (0, 1)}
+    return [(m[j, 0].H * m[k, 0])[0] * (m[j, 1].H * m[k, 1])[0] - (one if j == k else 0)
+            for j in range(4) for k in range(j, 4)]
+
+
+def _is_algebraic_zero(expr: sp.Expr) -> bool:
+    """Whether a constant built from radicals and e^{i pi/4} is exactly 0: its
+    minimal polynomial is x."""
+    x = sp.Symbol("x")
+    return sp.minimal_polynomial(sp.expand_complex(expr), x) == x
+
+
+def aux(which: int, sign: int, one: sp.Expr = sp.Integer(1)) -> sp.Matrix:
+    """`aux_state`: ((1 + w)/h, sign (1 + conj w) h) / sqrt(4 + 2 sqrt 2),
+    w = e^{+- i pi/4} for which = 1, 0, h = e^{i phi/2}."""
+    w = sp.exp((1 if which else -1) * sp.I * sp.pi / 4)
+    half_phase = sp.exp(sp.I * PHI / 2)
+    return sp.Matrix([(one + w) / half_phase,
+                      sign * (1 + sp.conjugate(w)) * half_phase]) / sp.sqrt(4 + 2 * sp.sqrt(2))
+
+
+def pair_rows(k: int) -> tuple[sp.Matrix, sp.Matrix]:
+    """Row k of F and of S: f_k = m_{k,0} (x) m_{k,1}, s_k = m_{k,1} (x) m_{k,0}."""
+    m0, m1 = component(k, 0), component(k, 1)
+    return _kron(m0, m1), _kron(m1, m0)
+
+
+def pair_overlaps(k: int) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
+    """<f_k|f_k>, <s_k|s_k> and <s_k|f_k>."""
+    forward, swapped = pair_rows(k)
+    return ((forward.H * forward)[0], (swapped.H * swapped)[0], (swapped.H * forward)[0])
+
+
+def test_swapped_overlaps_are_the_forward_overlaps():
+    assert _vanishes(swapped_overlap_gap())
+
+
+def test_cross_overlaps_are_hermitian():
+    assert _vanishes(cross_overlap_gap())
+
+
+def test_one_pair_gram_expansion():
+    assert _vanishes(one_pair_gram_gap())
+
+
+def test_sjm_weights_sum_to_one_and_their_cross_term_vanishes():
+    assert all(_is_zero(gap) for gap in weight_gaps())
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_components_turn_with_phi(k):
+    # diag(e^{-i phi/2}, e^{i phi/2}) is unitary for real phi, so every overlap
+    # of two components, and so A, is the same at every phi as at phi = 0.
+    assert all(sp.expand(entry) == 0 for slot in (0, 1) for entry in phase_gap(k, slot))
+
+
+def test_pair_overlap_matrix_is_the_identity():
+    assert all(_is_algebraic_zero(gap) for gap in identity_gaps())
+
+
+@pytest.mark.parametrize("which", (0, 1))
+def test_aux_pairs_are_orthogonal(which):
+    assert _is_zero((aux(which, +1).H * aux(which, -1))[0])
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_pair_rows_overlap_by_one_one_and_one_half(k):
+    assert [_is_zero(value - expected)
+            for value, expected in zip(pair_overlaps(k), (1, 1, HALF))] == [True] * 3
+
+
 SLIP = sp.Rational(1, 64)
 
 
@@ -155,8 +309,38 @@ def test_a_wrong_coefficient_fails_each_closed_form_proof(proven, wrong):
     assert not _is_zero(proven() - wrong())
 
 
+@pytest.mark.parametrize("gap", [
+    lambda: swapped_overlap_gap(1 + SLIP),
+    lambda: cross_overlap_gap(1 + SLIP),
+    lambda: one_pair_gram_gap(1 + SLIP),
+], ids=["swapped_overlaps", "hermitian_cross", "one_pair_expansion"])
+def test_a_wrong_coefficient_fails_each_generic_proof(gap):
+    assert not _vanishes(gap())
+
+
+def test_a_wrong_coefficient_fails_the_weight_proofs():
+    assert [_is_zero(gap) for gap in weight_gaps(1 + SLIP)] == [False, False]
+
+
+def test_a_wrong_coefficient_fails_the_phase_and_identity_proofs():
+    assert not all(sp.expand(entry) == 0 for entry in phase_gap(1, 0, HALF + SLIP))
+    assert not all(_is_algebraic_zero(gap) for gap in identity_gaps(1 + SLIP))
+
+
+def test_a_wrong_coefficient_fails_the_aux_and_pair_overlap_proofs():
+    assert not _is_zero((aux(0, +1, 1 + SLIP).H * aux(0, -1, 1 + SLIP))[0])
+    assert [_is_zero(value - expected) for value, expected
+            in zip(pair_overlaps(2), (1 + SLIP, 1 + SLIP, HALF + SLIP))] == [False] * 3
+
+
 def _numeric(expr):
     return sp.lambdify((THETA, PHI), expr, "numpy")
+
+
+def _pair_overlaps_of(params: SjmParams, k: int) -> list[complex]:
+    forward, swapped = pair_matrices(params)
+    return [inner(forward[k], forward[k]), inner(swapped[k], swapped[k]),
+            inner(swapped[k], forward[k])]
 
 
 # Each restated formula, as a function of (theta, phi), beside the code it restates.
@@ -176,6 +360,12 @@ PAIRS = [
      lambda p: ejm_family_concurrence_closed_form(p.theta)),
     *((_numeric(state_overlap(j, k)), lambda p, j=j, k=k: sjm_overlap_closed_form(j, k, p))
       for j in range(4) for k in range(4)),
+    *((_numeric(aux(which, sign)), lambda p, which=which, sign=sign: aux_state(which, sign, p.phi))
+      for which in (0, 1) for sign in (1, -1)),
+    *((_numeric(pair_rows(k)[i]), lambda p, k=k, i=i: pair_matrices(p)[i][k])
+      for k in range(4) for i in (0, 1)),
+    *((_numeric(sp.Matrix(pair_overlaps(k))), lambda p, k=k: _pair_overlaps_of(p, k))
+      for k in range(4)),
 ]
 
 
