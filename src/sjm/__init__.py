@@ -6,14 +6,10 @@ circuit that discriminates it, reproduce the triangle-network outcome
 statistics it generates, and build its even-n multiqubit generalization.
 """
 from .analysis import (
-    bloch_vector,
     concurrence,
     multi_reduction_closed_form,
-    reduction_vector,
-    rotation_about_axis,
     rotation_symmetry_residual,
     sjm_concurrence_closed_form,
-    symmetry_axis,
     zero_sum_residual,
 )
 from .bases import (
@@ -46,7 +42,6 @@ from .linalg import (
     apply_gate,
     inner,
     ket,
-    partial_trace,
     permute_qubits,
     tensor,
 )

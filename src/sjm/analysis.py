@@ -1,8 +1,9 @@
 """Entanglement measures and Bloch-sphere geometry of the basis states.
 
-Everything here works on the reduced single-qubit states: concurrence as
-2 |det M| of the amplitude matrix, Bloch vectors of each marginal, and the
-pi-rotation symmetry relating the two marginals of every basis state.
+Concurrence as 2 |det M| of the amplitude matrix, and the single-qubit
+reduction (Bloch) vectors of every basis state, two-qubit or n-qubit, from
+the 4x4 pair matrices (F, S) alone: no dense state is traced.  From those
+vectors come the closed-form, half-turn, zero-sum and tetrahedron checks.
 `multiqubit.multi_invariant_residuals` gathers these checks into the report
 `sjm verify` prints.
 """
@@ -12,10 +13,8 @@ import math
 
 import numpy as np
 
-from .bases import SjmParams, cos_k_pi, ejm_aligned, sjm_basis
-from .linalg import PAULIS, num_qubits, partial_trace
-
-TOL_AXIS = 1e-10
+from .bases import SjmParams, _index_array, cos_k_pi, ejm_aligned, pair_matrices
+from .linalg import PAULIS
 
 # Reduction-vector vertices at theta = pi/2, phi = pi/4: the first-qubit
 # marginals (upper) and second-qubit marginals (lower) each form a regular
@@ -24,22 +23,6 @@ ALIGNED_VERTICES_FIRST = 0.5 * np.array(
     [[-1, -1, 1], [-1, 1, -1], [1, 1, 1], [1, -1, -1]], dtype=float
 )
 ALIGNED_VERTICES_SECOND = ALIGNED_VERTICES_FIRST * np.array([1.0, 1.0, -1.0])
-
-
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Pauli expectation values (x, y, z) of a single-qubit density matrix."""
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-    return np.array([np.trace(rho @ s).real for s in PAULIS])
-
-
-def reduction_vector(state: np.ndarray, qubit: int) -> np.ndarray:
-    """Bloch vector of one marginal of a two-qubit pure state (qubit 0 or 1)."""
-    if num_qubits(state) != 2:
-        raise ValueError("reduction_vector expects a two-qubit state")
-    if qubit not in (0, 1):
-        raise ValueError(f"qubit must be 0 or 1, got {qubit}")
-    return bloch_vector(partial_trace(state, qubit))
 
 
 def concurrence(state: np.ndarray) -> float | np.ndarray:
@@ -100,41 +83,54 @@ def multi_reduction_closed_form(k: int, params: SjmParams, n: int, position: int
     )
 
 
-def symmetry_axis(k: int, params: SjmParams) -> np.ndarray:
-    """Unit vector (cos phi_k, sin phi_k, 0); a pi rotation about it maps the
-    first marginal's Bloch vector of state k onto the second's."""
-    phik = params.phi_k(k)
-    return np.array([math.cos(phik), math.sin(phik), 0.0])
+def _reduction_vectors(pairs: int, theta: float, forward: np.ndarray,
+                       swapped: np.ndarray) -> np.ndarray:
+    """Bloch vectors of every reduction of the basis on `pairs` pairs built
+    from the pair matrices (F, S), shape (4**pairs, 2 * pairs, 3): [state,
+    position, xyz].  With one pair, the two marginals [k, qubit] of the
+    two-qubit basis.
 
+    Tracing out every pair but p leaves on pair p (index k), with
+    alpha, beta = (1 +- e^{i theta})/2 and w_xy = prod_{q != p} <y_{k_q}|x_{k_q}>,
+    |alpha|^2 w_ff |f_k><f_k| + |beta|^2 w_ss |s_k><s_k| + (alpha conj(beta) w_fs |f_k><s_k|
+    + h.c.); a Bloch vector is linear in that operator, so it sums over the terms.
+    """
+    mix = np.exp(1j * theta)
+    alpha, beta = 0.5 * (1.0 + mix), 0.5 * (1.0 - mix)
+    ks = _index_array(pairs)
 
-def rotation_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate a 3-vector about a unit axis (Rodrigues formula)."""
-    axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > TOL_AXIS:
-        raise ValueError("rotation axis must be a unit vector")
-    v = np.asarray(v, dtype=float)
-    c, s = math.cos(angle), math.sin(angle)
-    return v * c + np.cross(axis, v) * s + axis * np.dot(axis, v) * (1.0 - c)
+    def term(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """w_xy times the Pauli expectations of |x_k><y_k| on each qubit of pair p."""
+        per_pair = np.einsum("ka,ka->k", y.conj(), x)[ks]
+        w = np.where(np.eye(pairs, dtype=bool), 1.0, per_pair[:, None, :]).prod(axis=2)
+        xm, ym = x.reshape(4, 2, 2), y.conj().reshape(4, 2, 2)
+        first = np.einsum("kac,kbc,pba->kp", xm, ym, PAULIS)  # trace out the pair's qubit 1
+        second = np.einsum("kac,kad,pdc->kp", xm, ym, PAULIS)  # trace out its qubit 0
+        return w[..., None, None] * np.stack([first, second], axis=1)[ks]
 
-
-def reduction_vectors(states: np.ndarray) -> np.ndarray:
-    """Bloch vectors of both marginals of each two-qubit state, shape
-    (len(states), 2, 3): [state, qubit], by partial trace."""
-    return np.array([[reduction_vector(s, qubit) for qubit in (0, 1)] for s in states])
+    vectors = (abs(alpha) ** 2 * term(forward, forward) + abs(beta) ** 2 * term(swapped, swapped)
+               + 2.0 * alpha * beta.conjugate() * term(forward, swapped)).real
+    return vectors.reshape(4**pairs, 2 * pairs, 3)
 
 
 def rotation_symmetry_residual(vectors: np.ndarray, params: SjmParams) -> float:
-    """Max deviation of R_pi(axis_k) v_k^(0) from v_k^(1) across a basis at
-    `params`, from its `reduction_vectors`."""
-    return max(
-        float(np.abs(rotation_about_axis(v[0], symmetry_axis(k, params), math.pi) - v[1]).max())
-        for k, v in enumerate(vectors)
-    )
+    """Max deviation of R_pi(a_k) v_k^(0) from v_k^(1) across a basis at
+    `params`, from its two-qubit reduction vectors [k, qubit, xyz].
+
+    The half-turn about the unit axis a_k = (cos phi_k, sin phi_k, 0) is
+    R_pi(a) v = 2 (a . v) a - v, taken in explicit sums over the four axes at once
+    (a . v has no z term, since a_z = 0).
+    """
+    axes = np.array([[math.cos(phik), math.sin(phik), 0.0]
+                     for phik in (params.phi_k(k) for k in range(4))])
+    first, second = vectors[:, 0], vectors[:, 1]
+    along = axes[:, 0] * first[:, 0] + axes[:, 1] * first[:, 1]
+    return float(np.abs(2.0 * along[:, None] * axes - first - second).max())
 
 
 def zero_sum_residual(vectors: np.ndarray) -> float:
     """Max component of sum_k v_k over both marginals of a basis, from its
-    `reduction_vectors` (0 for a valid basis)."""
+    two-qubit reduction vectors (0 for a valid basis)."""
     return float(np.abs(vectors.sum(axis=0)).max())
 
 
@@ -142,8 +138,9 @@ def aligned_tetrahedron_residual() -> float:
     """How far the marginals at theta=pi/2, phi=pi/4 sit from the reference
     tetrahedra: worst deviation over vertex positions, circumradii
     (sqrt(3)/2), and pairwise vertex distances (sqrt 2)."""
+    aligned = ejm_aligned()
     # [qubit, state, xyz]
-    vertices = reduction_vectors(sjm_basis(ejm_aligned())).transpose(1, 0, 2)
+    vertices = _reduction_vectors(1, aligned.theta, *pair_matrices(aligned)).transpose(1, 0, 2)
     expected = np.stack([ALIGNED_VERTICES_FIRST, ALIGNED_VERTICES_SECOND])
     a, b = np.triu_indices(4, 1)
     edges = np.linalg.norm(vertices[:, a] - vertices[:, b], axis=2)

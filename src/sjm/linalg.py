@@ -4,7 +4,10 @@ States are 1-D complex128 ndarrays of length 2**n.  Index bits are
 big-endian: qubit 0 is the leftmost ket factor and the most significant
 bit, so |01> puts its amplitude at index 0b01 = 1.  Global phase is
 physical here (interference across network sources) and is never
-normalized away.  All functions are pure.
+normalized away.  All functions are pure.  `inner` is an elementwise sum,
+not a BLAS dot, so its bits do not depend on the CPU's BLAS kernel; the
+matrix products of `gram_matrix`, `completeness_residual` and `apply_gate`
+still go through BLAS.
 """
 from __future__ import annotations
 
@@ -42,27 +45,11 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b>, conjugating the left argument."""
+    """<a|b>, conjugating the left argument: an elementwise product and a sum,
+    so its bits do not depend on the BLAS kernel."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
-def partial_trace(state: np.ndarray, keep: int | Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of the kept qubit(s), in the order given.
-
-    `keep` is a single qubit index or a sequence of distinct indices; all
-    other qubits are traced out.
-    """
-    n = num_qubits(state)
-    kept = [int(keep)] if isinstance(keep, (int, np.integer)) else [int(q) for q in keep]
-    if len(set(kept)) != len(kept):
-        raise ValueError(f"duplicate qubit index in keep={kept}")
-    if any(q < 0 or q >= n for q in kept):
-        raise ValueError(f"qubit index out of range in keep={kept} for {n} qubits")
-    rest = [q for q in range(n) if q not in kept]
-    psi = state.reshape([2] * n).transpose(kept + rest).reshape(2 ** len(kept), -1)
-    return psi @ psi.conj().T
+    return complex((a.conj() * b).sum())
 
 
 def permute_qubits(state: np.ndarray, perm: Sequence[int]) -> np.ndarray:

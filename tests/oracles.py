@@ -1,17 +1,16 @@
 """Independent references the tests hold the library to.
 
 Nothing in `sjm` calls these: each restates a quantity the package computes
-another way (a closed form, a partial trace, a dense unitary), so a test can
-compare the two.
+another way (a closed form, a partial trace of a dense state, a Rodrigues
+turn, a dense unitary), so a test can compare the two.
 """
 import math
 
 import numpy as np
 
-from sjm.analysis import bloch_vector
 from sjm.bases import SjmParams, cos_k_pi, sjm_basis
 from sjm.circuit import GateCircuit
-from sjm.linalg import partial_trace, tensor
+from sjm.linalg import PAULIS, num_qubits, tensor
 from sjm.network import TRIANGLE_STATE
 
 
@@ -53,6 +52,41 @@ def unitary(circuit: GateCircuit) -> np.ndarray:
     dim = 2**circuit.num_qubits
     cols = [circuit.apply(np.eye(dim, dtype=complex)[:, j]) for j in range(dim)]
     return np.column_stack(cols)
+
+
+def partial_trace(state: np.ndarray, keep) -> np.ndarray:
+    """Reduced density matrix of the kept qubit(s) of a dense state, in the
+    order given; `keep` is one qubit index or a sequence of distinct ones."""
+    n = num_qubits(state)
+    kept = [keep] if isinstance(keep, int) else list(keep)
+    rest = [q for q in range(n) if q not in kept]
+    psi = state.reshape([2] * n).transpose(kept + rest).reshape(2 ** len(kept), -1)
+    return psi @ psi.conj().T
+
+
+def bloch_vector(rho: np.ndarray) -> np.ndarray:
+    """Pauli expectation values (x, y, z) of a single-qubit density matrix."""
+    return np.array([np.trace(rho @ s).real for s in PAULIS])
+
+
+def reduction_vectors(states: np.ndarray) -> np.ndarray:
+    """Bloch vectors of both marginals of each two-qubit state, shape
+    (len(states), 2, 3): [state, qubit], by partial trace."""
+    return np.array([[bloch_vector(partial_trace(s, qubit)) for qubit in (0, 1)]
+                     for s in states])
+
+
+def symmetry_axis(k: int, params: SjmParams) -> np.ndarray:
+    """Unit vector (cos phi_k, sin phi_k, 0); a pi rotation about it maps the
+    first marginal's Bloch vector of state k onto the second's."""
+    phik = params.phi_k(k)
+    return np.array([math.cos(phik), math.sin(phik), 0.0])
+
+
+def rotation_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rotate a 3-vector about a unit axis (Rodrigues formula)."""
+    c, s = math.cos(angle), math.sin(angle)
+    return v * c + np.cross(axis, v) * s + axis * np.dot(axis, v) * (1.0 - c)
 
 
 def multi_reduction_vector(states: np.ndarray, ks: tuple[int, ...], position: int) -> np.ndarray:

@@ -16,10 +16,6 @@ from sjm.analysis import (
     ALIGNED_VERTICES_SECOND,
     concurrence,
     multi_reduction_closed_form,
-    reduction_vector,
-    reduction_vectors,
-    rotation_about_axis,
-    symmetry_axis,
     zero_sum_residual,
 )
 from sjm.bases import (
@@ -40,7 +36,7 @@ from sjm.circuit import (
     gate_matrix,
     verify_discrimination,
 )
-from sjm.linalg import PAULI_Y, gram_matrix, inner, ket, partial_trace
+from sjm.linalg import PAULI_Y, gram_matrix, inner, ket
 from sjm.multiqubit import multi_sjm_basis
 from sjm.network import (
     TRILOCAL_BOUND,
@@ -54,7 +50,11 @@ from oracles import (
     amplitude_closed_form,
     ejm_family_concurrence_closed_form,
     multi_reduction_vector,
+    partial_trace,
     permutation_residual,
+    reduction_vectors,
+    rotation_about_axis,
+    symmetry_axis,
     threshold_theta,
 )
 
@@ -115,33 +115,30 @@ def test_criterion_2_concurrence():
 def test_criterion_3_reductions():
     checks = []
     for params in GRID:
-        basis = sjm_basis(params)
+        vectors = reduction_vectors(sjm_basis(params))
         worst = max(
             float(
                 np.abs(
-                    reduction_vector(s, q) - multi_reduction_closed_form(k, params, 2, q)
+                    vectors[k, q] - multi_reduction_closed_form(k, params, 2, q)
                 ).max()
             )
-            for k, s in enumerate(basis)
+            for k in range(4)
             for q in (0, 1)
         )
         checks.append((f"closed-form reduction at {params}", worst, 1e-10))
         rotation = max(
             float(
                 np.abs(
-                    rotation_about_axis(
-                        reduction_vector(s, 0), symmetry_axis(k, params), math.pi
-                    )
-                    - reduction_vector(s, 1)
+                    rotation_about_axis(v[0], symmetry_axis(k, params), math.pi) - v[1]
                 ).max()
             )
-            for k, s in enumerate(basis)
+            for k, v in enumerate(vectors)
         )
         checks.append((f"half-turn marginal map at {params}", rotation, 1e-10))
-        checks.append((f"zero-sum at {params}", zero_sum_residual(reduction_vectors(basis)), 1e-10))
-    aligned = sjm_basis(ejm_aligned())
+        checks.append((f"zero-sum at {params}", zero_sum_residual(vectors), 1e-10))
+    aligned = reduction_vectors(sjm_basis(ejm_aligned()))
     for qubit, expected in ((0, ALIGNED_VERTICES_FIRST), (1, ALIGNED_VERTICES_SECOND)):
-        vertices = np.array([reduction_vector(s, qubit) for s in aligned])
+        vertices = aligned[:, qubit]
         checks.append(
             (f"aligned vertices qubit {qubit}", float(np.abs(vertices - expected).max()), 1e-10)
         )

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sjm.multiqubit
-from sjm.analysis import multi_reduction_closed_form, symmetry_axis
+from sjm.analysis import multi_reduction_closed_form
 from sjm.bases import (
     EJM_PHI,
     PHI_OFFSETS,
@@ -35,12 +35,11 @@ from sjm.linalg import (
     inner,
     ket,
     orthonormality_residual,
-    partial_trace,
     tensor,
 )
 from sjm.network import nonlocality_scan
 
-from oracles import component_state
+from oracles import component_state, partial_trace, symmetry_axis
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)

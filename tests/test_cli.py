@@ -34,7 +34,6 @@ import sjm.network
 from sjm.analysis import aligned_tetrahedron_residual
 from sjm.bases import component_states, ejm_aligned
 from sjm.circuit import build_sjm_circuit, circuit_to_dict
-from sjm.linalg import partial_trace
 from sjm.cli import (
     GRID_STEPS_CAP,
     Table,
@@ -379,12 +378,12 @@ def test_overflowing_angle_fraction_exits_2(command, flag, value):
     assert "Traceback" not in err
 
 
-def _sjm_child(argv, **kwargs) -> subprocess.CompletedProcess:
+def _sjm_child(argv, threads="1", **kwargs) -> subprocess.CompletedProcess:
     """`python -m sjm.cli *argv` in a child process, stderr captured as text."""
     path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    # One BLAS thread: OpenBLAS sizes its buffers by thread count.
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    # One BLAS thread by default: OpenBLAS sizes its buffers by thread count.
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
     return subprocess.run([sys.executable, "-m", "sjm.cli", *argv], stderr=subprocess.PIPE,
                           text=True, env=env, timeout=120, **kwargs)
 
@@ -538,12 +537,15 @@ def test_memory_error_exits_2(monkeypatch, stage):
 
 def test_address_space_limit_exits_2():
     # basis --n 12 needs about 32 MB for its two Kronecker heads, more than a
-    # 150 MB address-space cap leaves after the interpreter and numpy.
+    # 150 MB address-space cap leaves after the interpreter and numpy.  The
+    # import and `basis` make no BLAS call, so OpenBLAS never sizes its
+    # per-thread buffers, and with two threads it cannot abort the run first.
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (150 * 2**20, resource.RLIM_INFINITY))
-    proc = _sjm_child(["basis", "--n", "12", "--format", "csv"], stdout=subprocess.DEVNULL,
-                      preexec_fn=limit)
-    assert proc.returncode == 2
-    _assert_one_error_line(proc.stderr, "out of memory")
+    for threads in ("1", "2"):
+        proc = _sjm_child(["basis", "--n", "12", "--format", "csv"], stdout=subprocess.DEVNULL,
+                          preexec_fn=limit, threads=threads)
+        assert proc.returncode == 2, threads
+        _assert_one_error_line(proc.stderr, "out of memory")
 
 
 ERROR_LINE = re.compile(r"sjm( [a-z]+)*: error: ")
@@ -629,7 +631,7 @@ def test_sweeps_never_build_a_basis_or_network_state_per_theta(monkeypatch):
             CountedParams.built += 1
             super().__post_init__()
 
-    for module in (sjm.bases, sjm.network, sjm.analysis):
+    for module in (sjm.bases, sjm.network):
         monkeypatch.setattr(module, "sjm_basis", forbidden)
     monkeypatch.setattr(sjm.network, "triangle_state", forbidden)
     monkeypatch.setattr(sjm.bases, "SjmParams", CountedParams)
@@ -918,17 +920,22 @@ def test_verify_builds_its_components_once(monkeypatch):
 
 def test_verify_gathers_its_reduction_vectors_once(monkeypatch):
     # One (4, 2, 3) array of marginals serves the reduction, rotation and
-    # zero-sum rows; the aligned-point rows were computed at import.
+    # zero-sum rows, and at n = 2 the n-qubit reduction row too; a larger n
+    # adds one call for its pairs.  The aligned-point rows were computed at import.
     calls = []
+    reduction_vectors = sjm.multiqubit._reduction_vectors
 
-    def counted(*args):
-        calls.append(args)
-        return partial_trace(*args)
+    def counted(pairs, *args):
+        calls.append(pairs)
+        return reduction_vectors(pairs, *args)
 
-    monkeypatch.setattr(sjm.analysis, "partial_trace", counted)
-    code, _ = _stdout(["verify", "--theta", "0.7", "--phi=-1.3"])
-    assert code == 0
-    assert len(calls) == 8
+    monkeypatch.setattr(sjm.multiqubit, "_reduction_vectors", counted)
+    monkeypatch.setattr(sjm.analysis, "_reduction_vectors", counted)
+    for n in (2, 4, 12):
+        calls.clear()
+        code, _ = _stdout(["verify", "--theta", "0.7", "--phi=-1.3", "--n", str(n)])
+        assert code == 0
+        assert calls == ([1] if n == 2 else [1, n // 2]), n
 
 
 ALIGNED_ROWS = ("aligned_ejm_orthogonality_residual", "aligned_tetrahedron_residual")
@@ -965,11 +972,10 @@ def test_verify_and_multiqubit_never_build_the_dense_basis(monkeypatch):
         sjm.multiqubit.multi_sjm_basis(4, sjm.bases.SjmParams(0.5, 0.1))
     with pytest.raises(AssertionError, match="dense path reached"):
         main(["basis", "--n", "4"])
-    # The multiqubit layer takes no partial trace: it imports none, and none
-    # is reached through `linalg`.  The two-qubit invariants in `analysis`
-    # keep theirs, on 4-amplitude states.
-    assert not hasattr(sjm.multiqubit, "partial_trace")
-    monkeypatch.setattr(sjm.linalg, "partial_trace", forbidden)
+    # No layer takes a partial trace: every reduction, two-qubit ones
+    # included, comes from the pair matrices.
+    for module in (sjm.linalg, sjm.analysis, sjm.multiqubit):
+        assert not hasattr(module, "partial_trace")
     for argv in (["verify", "--n", "12"], ["multiqubit", "--n", "4"],
                  ["multiqubit", "--n", "12", "--format", "csv"]):
         code, out = _stdout(argv)

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import sjm.bases
 import sjm.multiqubit
-from sjm.analysis import multi_reduction_closed_form, rotation_about_axis, symmetry_axis
+from sjm.analysis import multi_reduction_closed_form
 from sjm.bases import (SjmParams, component_states, ejm_aligned, original_ejm_basis,
                        pair_matrices, sjm_basis, sjm_state)
-from sjm.linalg import gram_matrix, inner, orthonormality_residual, partial_trace, tensor
+from sjm.linalg import gram_matrix, inner, orthonormality_residual, tensor
 from sjm.multiqubit import (
     aux_state,
     multi_gram_bound,
@@ -23,7 +23,7 @@ from sjm.multiqubit import (
     multi_sjm_basis,
 )
 
-from oracles import multi_reduction_vector
+from oracles import multi_reduction_vector, partial_trace, rotation_about_axis, symmetry_axis
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
@@ -78,6 +78,19 @@ def test_pairwise_overlap_products_are_kronecker_delta():
             for k in range(4):
                 value = inner(m[j, 0], m[k, 0]) * inner(m[j, 1], m[k, 1])
                 assert abs(value - (1.0 if j == k else 0.0)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=THETAS, phi=PHIS)
+def test_overlap_product_row_matches_the_per_pair_products(theta, phi):
+    # The row reads A = conj(F) F^T; the same overlaps, pair by pair, from
+    # the components' inner products.
+    params = SjmParams(theta, phi)
+    m = component_states(params)
+    per_pair = max(abs(inner(m[j, 0], m[k, 0]) * inner(m[j, 1], m[k, 1]) - float(j == k))
+                   for j in range(4) for k in range(4))
+    rows = {name: r for name, r, _ in multi_invariant_residuals(2, params)}
+    assert abs(rows["overlap_product_residual"] - per_pair) <= 1e-15
 
 
 def test_two_pair_case_reduces_to_joint_basis():

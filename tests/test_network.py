@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sjm.bases import SjmParams, bell_psi_plus, ejm_aligned, sjm_basis, sjm_basis_sweep
-from sjm.linalg import partial_trace, permute_qubits, tensor
+from sjm.linalg import permute_qubits, tensor
 from sjm.network import (
     SOURCE_PERMUTATION,
     TRIANGLE_STATE,
@@ -20,7 +20,8 @@ from sjm.network import (
     triangle_state,
 )
 
-from oracles import amplitude_closed_form, outcome_amplitude, permutation_residual, threshold_theta
+from oracles import (amplitude_closed_form, outcome_amplitude, partial_trace, permutation_residual,
+                     threshold_theta)
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)

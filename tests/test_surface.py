@@ -89,3 +89,15 @@ def test_every_public_dataclass_field_is_read_in_src_or_named_in_the_readme():
               and item.target.id not in read]
     unread = [name for name in unread if name.rsplit(".", 1)[1] not in _documented()]
     assert not unread, "read nowhere in src/sjm, not named in README.md: " + ", ".join(unread)
+
+
+def test_no_module_calls_a_blas_vector_product():
+    # np.vdot and np.dot go to BLAS, whose kernel choice moves the last bits
+    # of a residual from one CPU to another; np.cross has no user left.  An
+    # inner product is `linalg.inner`'s elementwise sum.
+    calls = [f"{module}: np.{node.func.attr}" for module, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+             and node.func.attr in ("vdot", "dot", "cross")]
+    assert not calls, "BLAS vector products: " + ", ".join(calls)

@@ -27,6 +27,13 @@ every entry of A is delta_jk.  Also exact: the two states of each auxiliary
 pair `aux_state` are orthogonal, and the pair rows f_k, s_k of F and S have
 <f_k|f_k> = <s_k|s_k> = 1 and <s_k|f_k> = 1/2.
 
+The two-qubit reductions `verify` reads come from the pair rows alone: for
+every k, the one-pair operator |alpha|^2 |f_k><f_k| + |beta|^2 |s_k><s_k| +
+(alpha conj(beta) |f_k><s_k| + h.c.), traced down to either qubit, has the
+Pauli expectations of `multi_reduction_closed_form(k, params, 2, qubit)`.
+That proof runs in u = e^{i theta} and h = e^{i phi/2}, where both sides are
+Laurent polynomials, so it holds for every real theta and phi.
+
 Each formula restated here is tied to the function it restates by
 evaluating both at random points, and each proof fails once one of its
 coefficients slips by 1/64.
@@ -39,11 +46,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sjm.analysis import concurrence, sjm_concurrence_closed_form
+from sjm.analysis import concurrence, multi_reduction_closed_form, sjm_concurrence_closed_form
 from sjm.bases import (PHI_OFFSETS, SjmParams, component_states, ejm_family_state,
                        pair_matrices, sjm_overlap_closed_form, sjm_state, sjm_state_closed_form)
 from sjm.linalg import inner
-from sjm.multiqubit import aux_state
+from sjm.multiqubit import aux_state, multi_reduction_vectors
 
 from oracles import ejm_family_concurrence_closed_form
 
@@ -254,6 +261,66 @@ def pair_overlaps(k: int) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
     return ((forward.H * forward)[0], (swapped.H * swapped)[0], (swapped.H * forward)[0])
 
 
+PAULIS = (sp.Matrix([[0, 1], [1, 0]]), sp.Matrix([[0, -sp.I], [sp.I, 0]]),
+          sp.Matrix([[1, 0], [0, -1]]))
+# u = e^{i theta} and h = e^{i phi/2}: on the unit circle conj(u) = 1/u and
+# conj(h) = 1/h, and every formula below is a Laurent polynomial in u and h.
+U, H = sp.symbols("u h", nonzero=True)
+ON_CIRCLE = {THETA: -sp.I * sp.log(U), PHI: -2 * sp.I * sp.log(H)}
+
+
+def _conj(expr: sp.Expr) -> sp.Expr:
+    return sp.conjugate(expr).xreplace({sp.conjugate(U): 1 / U, sp.conjugate(H): 1 / H})
+
+
+def pair_reduction(k: int, qubit: int, cross: sp.Expr = sp.Integer(1)) -> list[sp.Expr]:
+    """Pauli expectations (x, y, z), on one qubit of the pair, of the P = 1
+    operator of `_reduction_vectors`: |alpha|^2 |f_k><f_k| + |beta|^2 |s_k><s_k|
+    + (alpha conj(beta) |f_k><s_k| + h.c.), alpha, beta = (1 +- u)/2, in u and h.
+    The components are m_{k,s}(phi) = diag(1/h, h) m_{k,s}(0), as
+    `test_components_turn_with_phi` proves."""
+    alpha, beta = HALF * (1 + U), HALF * (1 - U)
+    m0, m1 = (sp.diag(1 / H, H) * component(k, slot).subs(PHI, 0) for slot in (0, 1))
+    forward, swapped = _kron(m0, m1), _kron(m1, m0)
+
+    def outer(x: sp.Matrix, y: sp.Matrix) -> sp.Matrix:
+        return x * y.applyfunc(_conj).T
+
+    mixed = alpha * _conj(beta) * outer(forward, swapped)
+    operator = (alpha * _conj(alpha) * outer(forward, forward)
+                + beta * _conj(beta) * outer(swapped, swapped)
+                + cross * (mixed + mixed.applyfunc(_conj).T))
+    # Index 2a + c is (first qubit a, second qubit c): trace out the other one.
+    at = (lambda a, b, c: operator[2 * a + c, 2 * b + c]) if qubit == 0 else (
+        lambda a, b, c: operator[2 * c + a, 2 * c + b])
+    rho = sp.Matrix(2, 2, lambda a, b: at(a, b, 0) + at(a, b, 1))
+    return [(rho * pauli).trace() for pauli in PAULIS]
+
+
+def _is_laurent_zero(expr: sp.Expr) -> bool:
+    """Whether expr, in u and h, is identically zero: every coefficient of its
+    numerator, a constant built from radicals and e^{i pi/4}, is exactly 0."""
+    numerator = sp.fraction(sp.together(sp.expand(expr)))[0]
+    return all(_is_algebraic_zero(c) for c in sp.Poly(sp.expand(numerator), U, H).coeffs())
+
+
+def _on_circle(expr: sp.Expr) -> sp.Expr:
+    """expr, a function of theta and phi, in u and h."""
+    return sp.expand(expr.rewrite(sp.exp).subs(ON_CIRCLE), power_exp=True)
+
+
+def reduction_closed_form(k: int, qubit: int) -> list[sp.Expr]:
+    """`multi_reduction_closed_form(k, params, 2, qubit)`, sign = +1 on qubit 0
+    and -1 on qubit 1:
+    ((-ck cos phi_k + sign cos theta sin phi_k) / sqrt 2,
+     (-ck sin phi_k - sign cos theta cos phi_k) / sqrt 2, sign ck sin theta / 2)."""
+    ck, sign = (-1) ** k, 1 - 2 * qubit
+    phik = PHI + OFFSETS[k]
+    return [(-ck * sp.cos(phik) + sign * sp.cos(THETA) * sp.sin(phik)) / sp.sqrt(2),
+            (-ck * sp.sin(phik) - sign * sp.cos(THETA) * sp.cos(phik)) / sp.sqrt(2),
+            sign * ck * sp.sin(THETA) / 2]
+
+
 def test_swapped_overlaps_are_the_forward_overlaps():
     assert _vanishes(swapped_overlap_gap())
 
@@ -292,6 +359,13 @@ def test_pair_rows_overlap_by_one_one_and_one_half(k):
             for value, expected in zip(pair_overlaps(k), (1, 1, HALF))] == [True] * 3
 
 
+@pytest.mark.parametrize("qubit", (0, 1))
+@pytest.mark.parametrize("k", range(4))
+def test_pair_reduction_is_the_closed_form(k, qubit):
+    assert [_is_laurent_zero(value - _on_circle(expected)) for value, expected
+            in zip(pair_reduction(k, qubit), reduction_closed_form(k, qubit))] == [True] * 3
+
+
 SLIP = sp.Rational(1, 64)
 
 
@@ -325,6 +399,13 @@ def test_a_wrong_coefficient_fails_the_weight_proofs():
 def test_a_wrong_coefficient_fails_the_phase_and_identity_proofs():
     assert not all(sp.expand(entry) == 0 for entry in phase_gap(1, 0, HALF + SLIP))
     assert not all(_is_algebraic_zero(gap) for gap in identity_gaps(1 + SLIP))
+
+
+def test_a_wrong_coefficient_fails_the_pair_reduction_proof():
+    # The cross term alpha conj(beta) = i sin(theta)/2 carries the out-of-plane
+    # component, +-cos(k pi) sin(theta)/2.
+    assert not _is_laurent_zero(pair_reduction(1, 0, 1 + SLIP)[2]
+                                - _on_circle(reduction_closed_form(1, 0)[2]))
 
 
 def test_a_wrong_coefficient_fails_the_aux_and_pair_overlap_proofs():
@@ -366,6 +447,9 @@ PAIRS = [
       for k in range(4) for i in (0, 1)),
     *((_numeric(sp.Matrix(pair_overlaps(k))), lambda p, k=k: _pair_overlaps_of(p, k))
       for k in range(4)),
+    *((_numeric(sp.Matrix(reduction_closed_form(k, qubit))),
+       lambda p, k=k, qubit=qubit: multi_reduction_closed_form(k, p, 2, qubit))
+      for k in range(4) for qubit in (0, 1)),
 ]
 
 
@@ -376,3 +460,17 @@ def test_restated_formulas_evaluate_to_the_code(theta, phi):
     for restated, code in PAIRS:
         expected = np.asarray(restated(theta, phi), dtype=complex).ravel()
         assert np.abs(expected - code(params)).max() <= 1e-15
+
+
+# [k, qubit, xyz] as a function of u and h.
+PAIR_REDUCTIONS = sp.lambdify((U, H), [[pair_reduction(k, qubit) for qubit in (0, 1)]
+                                       for k in range(4)], "numpy")
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi))
+def test_restated_pair_reduction_evaluates_to_the_code(theta, phi):
+    # The restatement's long expression rounds more than the code's einsums:
+    # its worst distance from them over 3000 random points was 1.1e-15.
+    expected = np.asarray(PAIR_REDUCTIONS(np.exp(1j * theta), np.exp(0.5j * phi)), dtype=complex)
+    assert np.abs(expected - multi_reduction_vectors(2, SjmParams(theta, phi))).max() <= 2e-15
