@@ -30,19 +30,12 @@ from .bases import (
     sjm_state_closed_form,
 )
 from .circuit import (
-    DiscriminationReport,
-    GateCircuit,
-    GateKind,
-    GateOp,
     build_sjm_circuit,
-    gate_matrix,
     verify_discrimination,
 )
 from .linalg import (
-    apply_gate,
     inner,
     ket,
-    permute_qubits,
     tensor,
 )
 from .multiqubit import (
@@ -56,5 +49,4 @@ from .network import (
     closed_form_probability,
     joint_distribution,
     nonlocality_scan,
-    triangle_state,
 )

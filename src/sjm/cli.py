@@ -18,6 +18,7 @@ but where the JSON of the rounded float differs (1.0 for 1, NaN, ...).
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import errno
@@ -38,7 +39,7 @@ import numpy as np
 
 from .analysis import concurrence
 from .bases import SjmParams, _index_array, ejm_aligned, ejm_family_state, sjm_basis_sweep
-from .circuit import build_sjm_circuit, circuit_to_dict, verify_discrimination
+from .circuit import TOL_CIRCUIT, build_sjm_circuit, circuit_to_dict, verify_discrimination
 from .multiqubit import (
     TOL_GRAM, _basis_rows, multi_gram_bound, multi_invariant_residuals, multi_reduction_vectors,
 )
@@ -342,18 +343,23 @@ def cmd_verify(args: argparse.Namespace, params: SjmParams) -> Table:
 
 
 def cmd_circuit(args: argparse.Namespace, params: SjmParams) -> Table:
-    circuit = build_sjm_circuit(params)
-    report = verify_discrimination(circuit)
+    gates = build_sjm_circuit(params)
+    targets, amplitudes, sign_residual = verify_discrimination(gates, params)
+    targets, amplitudes = targets.tolist(), amplitudes.tolist()
+    magnitudes = [abs(amp) for amp in amplitudes]
+    distinct = len(set(targets)) == 4
+    max_error = max(abs(1.0 - magnitude) for magnitude in magnitudes)
+    # The pass flag reads magnitudes and distinct targets only, not the signs.
+    passed = distinct and max_error <= TOL_CIRCUIT
     return Table(
-        head={"command": "circuit", **_point(params), "circuit": circuit_to_dict(circuit)},
+        head={"command": "circuit", **_point(params), "circuit": circuit_to_dict(gates, params)},
         key="mappings",
         shape={"state": 0, "target": 0, "target_bits": "", "magnitude": 0.0, "phase": 0.0},
-        rows=[(m.state_index, m.target_index, m.target_bits, m.magnitude, m.phase)
-              for m in report.mappings],
-        tail={"targets_distinct": report.targets_distinct,
-              "max_magnitude_error": report.max_magnitude_error,
-              "reference_sign_residual": report.reference_sign_residual,
-              "pass": report.passed}, code=0 if report.passed else 1,
+        rows=[(k, target, format(target, "02b"), magnitude, cmath.phase(amp))
+              for k, (target, amp, magnitude) in enumerate(zip(targets, amplitudes, magnitudes))],
+        tail={"targets_distinct": distinct, "max_magnitude_error": max_error,
+              "reference_sign_residual": sign_residual, "pass": passed},
+        code=0 if passed else 1,
     )
 
 

@@ -14,36 +14,60 @@ import math
 import numpy as np
 
 from .bases import SjmParams, bell_psi_plus, sjm_basis, sjm_basis_sweep
-from .linalg import permute_qubits, tensor
 
 # Largest p(a=b=c) any model with three independent local sources can reach.
 # Taken as an external constant (reported alongside the quantum curve), not
 # derived here.
 TRILOCAL_BOUND = 61.0 / 256.0
 
-# Sources emit pairs in the order (A2 B1)(B2 C1)(C2 A1); this permutation
-# rearranges those six qubits into party order (A1 A2 B1 B2 C1 C2).
-SOURCE_PERMUTATION = (1, 2, 3, 4, 5, 0)
+# The network state's eight nonzero amplitudes, at (a, b, c) in C order, each
+# party's index 2 q1 + q2 over its two incoming qubits: the sources (A2 B1),
+# (B2 C1) and (C2 A1) each put one 1 on their pair.  Every amplitude is the
+# product of one source amplitude per edge, rounded left to right as np.kron
+# rounds it.
+NETWORK_TRIPLES = ((0, 2, 3), (0, 3, 1), (1, 0, 3), (1, 1, 1),
+                   (2, 2, 2), (2, 3, 0), (3, 0, 2), (3, 1, 0))
+_SOURCE_AMPLITUDE = float(bell_psi_plus()[1].real)
+NETWORK_WEIGHT = _SOURCE_AMPLITUDE * _SOURCE_AMPLITUDE * _SOURCE_AMPLITUDE
+
+# Where `_amplitudes` puts the three parties' factors: on one shared axis
+# (one outcome k k k per basis of a sweep), or on three outer axes (the
+# whole (4, 4, 4) table of one basis).
+_DIAGONAL = (..., ..., ...)
+_OUTER = (np.s_[:, :, None, None], np.s_[:, None, :, None], np.s_[:, None, None, :])
 
 
-def triangle_state() -> np.ndarray:
-    """The six-qubit network state, qubits ordered (A1 A2 B1 B2 C1 C2)."""
-    pair = bell_psi_plus()
-    return permute_qubits(tensor(pair, pair, pair), SOURCE_PERMUTATION)
-
-
-# The network state depends on no parameter: built once, read-only.
-TRIANGLE_STATE = triangle_state()
-TRIANGLE_STATE.flags.writeable = False
+def _amplitudes(basis: np.ndarray, places: tuple) -> np.ndarray:
+    """<network|x y z> = sum over NETWORK_TRIPLES of x_a y_b z_c NETWORK_WEIGHT,
+    with x, y and z the states of `basis` (amplitude axis last) that `places`
+    puts on the three parties: the conjugate of the outcome amplitude
+    <x y z|network>, so of the same modulus.  Each term is taken as
+    ((x_a y_b) z_c) weight in real arithmetic, and the terms are added in C
+    order.  So the real parts are those of the 64-term einsum over the dense
+    state (the tests' oracle) bit for bit, and the imaginary parts are its
+    own negated: bits that numpy's complex `*` would not keep."""
+    # One contiguous copy of the real and imaginary planes, amplitude axis
+    # first: every factor below is a view of it.
+    re, im = np.ascontiguousarray(
+        np.moveaxis(basis.view(float).reshape(*basis.shape, 2), (-1, -2), (0, 1)))
+    (rx, ix), (ry, iy), (rz, iz) = ((re[place], im[place]) for place in places)
+    total_re = total_im = 0.0
+    for a, b, c in NETWORK_TRIPLES:
+        ab_re = rx[a] * ry[b] - ix[a] * iy[b]
+        ab_im = rx[a] * iy[b] + ix[a] * ry[b]
+        total_re = total_re + (ab_re * rz[c] - ab_im * iz[c]) * NETWORK_WEIGHT
+        total_im = total_im + (ab_re * iz[c] + ab_im * rz[c]) * NETWORK_WEIGHT
+    # Complex again, so `np.abs` rounds the modulus as it does the einsum's
+    # (`np.hypot` on the parts does not).
+    amps = np.empty(total_re.shape, dtype=complex)
+    amps.real, amps.imag = total_re, total_im
+    return amps
 
 
 def joint_distribution(params: SjmParams) -> np.ndarray:
-    """Brute-force distribution: project the network state onto every
-    triple of basis states.  The (4, 4, 4) array of probabilities p[a, b, c]."""
-    m = sjm_basis(params)  # (4, 4): state index x amplitudes
-    psi = TRIANGLE_STATE.reshape(4, 4, 4)  # party pairs (A1A2), (B1B2), (C1C2)
-    amps = np.einsum("ja,kb,lc,abc->jkl", m.conj(), m.conj(), m.conj(), psi)
-    return np.abs(amps) ** 2
+    """Project the network state onto every triple of basis states: the
+    (4, 4, 4) array of probabilities p[a, b, c]."""
+    return np.abs(_amplitudes(sjm_basis(params), _OUTER)) ** 2
 
 
 def closed_form_probability(j: int, k: int, l: int, theta: float) -> float:
@@ -57,27 +81,6 @@ def closed_form_probability(j: int, k: int, l: int, theta: float) -> float:
     return (4.0 - 3.0 * s2) / 256.0
 
 
-def _diagonal_amplitudes(m: np.ndarray) -> np.ndarray:
-    """sum_abc m[t,k,a] m[t,k,b] m[t,k,c] psi[a,b,c] over the eight nonzero
-    entries of the network state psi, in C order, each term taken as
-    ((m_a m_b) m_c) psi_abc in real arithmetic: the bits of the 64-term
-    einsum (the tests' oracle), which numpy's complex `*` would not keep."""
-    psi = TRIANGLE_STATE.reshape(4, 4, 4)
-    re, im = (np.ascontiguousarray(np.moveaxis(part, 2, 0)) for part in (m.real, m.imag))
-    total_re = total_im = 0.0
-    for a, b, c in zip(*np.nonzero(psi)):
-        weight = psi[a, b, c].real
-        ab_re = re[a] * re[b] - im[a] * im[b]
-        ab_im = re[a] * im[b] + im[a] * re[b]
-        total_re = total_re + (ab_re * re[c] - ab_im * im[c]) * weight
-        total_im = total_im + (ab_re * im[c] + ab_im * re[c]) * weight
-    # Complex again, so `np.abs` rounds the modulus as it does the einsum's
-    # (`np.hypot` on the parts does not).
-    amps = np.empty(m.shape[:2], dtype=complex)
-    amps.real, amps.imag = total_re, total_im
-    return amps
-
-
 def nonlocality_scan(thetas, phi: float = math.pi / 4) -> tuple[np.ndarray, np.ndarray]:
     """p(a=b=c) along theta at fixed phi, and where it exceeds the trilocal
     bound: two arrays over the grid, (p_same, p_same > TRILOCAL_BOUND + 1e-12).
@@ -88,6 +91,6 @@ def nonlocality_scan(thetas, phi: float = math.pi / 4) -> tuple[np.ndarray, np.n
     diagonal, so each value equals that sum of `joint_distribution` at its
     point bit for bit.
     """
-    probs = np.abs(_diagonal_amplitudes(sjm_basis_sweep(thetas, phi).conj())) ** 2
+    probs = np.abs(_amplitudes(sjm_basis_sweep(thetas, phi), _DIAGONAL)) ** 2
     p_same = ((probs[:, 0] + probs[:, 1]) + probs[:, 2]) + probs[:, 3]
     return p_same, p_same > TRILOCAL_BOUND + 1e-12

@@ -2,16 +2,17 @@
 
 Nothing in `sjm` calls these: each restates a quantity the package computes
 another way (a closed form, a partial trace of a dense state, a Rodrigues
-turn, a dense unitary), so a test can compare the two.
+turn, a circuit run gate by gate, the dense network state), so a test can
+compare the two.
 """
 import math
+from typing import Sequence
 
 import numpy as np
 
-from sjm.bases import SjmParams, cos_k_pi, sjm_basis
-from sjm.circuit import GateCircuit
-from sjm.linalg import PAULIS, num_qubits, tensor
-from sjm.network import TRIANGLE_STATE
+from sjm.bases import SjmParams, bell_psi_plus, cos_k_pi, sjm_basis
+from sjm.circuit import HADAMARD, S_GATE
+from sjm.linalg import PAULI_X, PAULIS, tensor
 
 
 def direction_state(k: int, sign: int, params: SjmParams) -> np.ndarray:
@@ -47,11 +48,76 @@ def unitarity_residual(op: np.ndarray) -> float:
     return float(np.abs(op.conj().T @ op - np.eye(op.shape[0])).max())
 
 
-def unitary(circuit: GateCircuit) -> np.ndarray:
-    """The circuit's matrix, column j the circuit applied to basis ket j."""
-    dim = 2**circuit.num_qubits
-    cols = [circuit.apply(np.eye(dim, dtype=complex)[:, j]) for j in range(dim)]
-    return np.column_stack(cols)
+def num_qubits(state: np.ndarray) -> int:
+    """Qubit count of a state vector; length must be a power of two."""
+    n = len(state).bit_length() - 1
+    if n < 1 or len(state) != 2**n:
+        raise ValueError(f"state length {len(state)} is not a power of two >= 2")
+    return n
+
+
+def permute_qubits(state: np.ndarray, perm: Sequence[int]) -> np.ndarray:
+    """Reorder qubits: the qubit at old position i moves to position perm[i]."""
+    n = num_qubits(state)
+    perm = [int(p) for p in perm]
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
+    # Axis j of the result must be old axis i with perm[i] = j, i.e. the
+    # inverse permutation as a transpose axis list.
+    inverse = np.argsort(perm)
+    return state.reshape([2] * n).transpose(inverse).reshape(-1)
+
+
+def apply_gate(state: np.ndarray, gate: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Apply a 2^m x 2^m unitary to the given m qubits (in target order)."""
+    n = num_qubits(state)
+    targets = [int(t) for t in targets]
+    m = len(targets)
+    if gate.shape != (2**m, 2**m):
+        raise ValueError(f"gate shape {gate.shape} does not act on {m} qubit(s)")
+    if len(set(targets)) != m:
+        raise ValueError(f"duplicate target qubit in {targets}")
+    if any(t < 0 or t >= n for t in targets):
+        raise ValueError(f"target out of range in {targets} for {n} qubits")
+    psi = state.reshape([2] * n)
+    rest = [q for q in range(n) if q not in targets]
+    psi = psi.transpose(targets + rest).reshape(2**m, -1)
+    psi = gate @ psi
+    # Undo the reordering.
+    unshuffle = np.argsort(targets + rest)
+    return psi.reshape([2] * n).transpose(unshuffle).reshape(-1)
+
+
+# The one-qubit gate each controlled kind applies to its target.
+_CONTROLLED = {"cnot": "x", "crphase": "rphase", "crx": "rx", "cs": "s"}
+
+
+def gate_matrix(kind: str, args: tuple[float, ...] = ()) -> np.ndarray:
+    """Unitary for a gate kind: 2x2 on its target, or for a controlled kind
+    the 4x4 on (control, target)."""
+    if kind in _CONTROLLED:
+        out = np.eye(4, dtype=complex)
+        out[2:, 2:] = gate_matrix(_CONTROLLED[kind], args)
+        return out
+    if kind == "rphase":
+        return np.array([[1.0, 0.0], [0.0, np.exp(1j * args[0])]], dtype=complex)
+    if kind == "rx":
+        c, s = math.cos(args[0] / 2.0), math.sin(args[0] / 2.0)
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return {"h": HADAMARD, "x": PAULI_X, "s": S_GATE}[kind].copy()
+
+
+def run_circuit(gates, state: np.ndarray) -> np.ndarray:
+    """The state after each gate of `build_sjm_circuit`'s list in turn, each
+    applied to its wires (controls first) by `apply_gate`."""
+    for kind, args, controls, targets in gates:
+        state = apply_gate(state, gate_matrix(kind, args), controls + targets)
+    return state
+
+
+def unitary(gates) -> np.ndarray:
+    """The circuit's matrix, column j the circuit run on basis ket j."""
+    return np.column_stack([run_circuit(gates, ket) for ket in np.eye(4, dtype=complex)])
 
 
 def partial_trace(state: np.ndarray, keep) -> np.ndarray:
@@ -107,12 +173,28 @@ def permutation_residual(probs: np.ndarray) -> float:
     return worst
 
 
+# Sources emit pairs in the order (A2 B1)(B2 C1)(C2 A1); this permutation
+# rearranges those six qubits into party order (A1 A2 B1 B2 C1 C2).
+SOURCE_PERMUTATION = (1, 2, 3, 4, 5, 0)
+
+
+def triangle_state() -> np.ndarray:
+    """The six-qubit network state, qubits ordered (A1 A2 B1 B2 C1 C2)."""
+    pair = bell_psi_plus()
+    return permute_qubits(tensor(pair, pair, pair), SOURCE_PERMUTATION)
+
+
+def joint_amplitudes(params: SjmParams) -> np.ndarray:
+    """<state_j state_k state_l | network> for all 64 outcomes, by the 64-term
+    einsum over the dense network state."""
+    m = sjm_basis(params).conj()
+    return np.einsum("ja,kb,lc,abc->jkl", m, m, m, triangle_state().reshape(4, 4, 4))
+
+
 def outcome_amplitude(j: int, k: int, l: int, params: SjmParams) -> complex:
     """<state_j state_k state_l | network state>, computed numerically."""
     states = sjm_basis(params)
-    return complex(
-        np.vdot(tensor(states[j], states[k], states[l]), TRIANGLE_STATE)
-    )
+    return complex(np.vdot(tensor(states[j], states[k], states[l]), triangle_state()))
 
 
 def amplitude_closed_form(j: int, k: int, l: int, params: SjmParams) -> complex:

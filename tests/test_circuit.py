@@ -12,17 +12,16 @@ from sjm.bases import SjmParams, ejm_aligned, sjm_basis
 from sjm.circuit import (
     EXPECTED_SIGNS,
     EXPECTED_TARGETS,
-    GateKind,
-    GateOp,
+    _gate_matrix,
     build_sjm_circuit,
     circuit_to_dict,
-    gate_matrix,
+    circuit_unitary,
     verify_discrimination,
 )
 from sjm.cli import main
 from sjm.linalg import ket
 
-from oracles import unitarity_residual, unitary
+from oracles import gate_matrix, run_circuit, unitarity_residual, unitary
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
@@ -31,165 +30,152 @@ THETAS = st.floats(0.0, math.pi / 2)
 PHIS = st.floats(-math.pi, math.pi)
 
 
+def _mapped(params: SjmParams) -> np.ndarray:
+    """Row k: the circuit's output on basis state k."""
+    return np.einsum("kj,ij->ki", sjm_basis(params), circuit_unitary(build_sjm_circuit(params)))
+
+
 def test_fixed_gate_matrices():
-    h = gate_matrix(GateKind.H)
+    h = gate_matrix("h")
     np.testing.assert_allclose(h, np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-15)
-    np.testing.assert_allclose(gate_matrix(GateKind.X), [[0, 1], [1, 0]], atol=1e-15)
-    np.testing.assert_allclose(gate_matrix(GateKind.S), [[1, 0], [0, 1j]], atol=1e-15)
+    np.testing.assert_allclose(gate_matrix("x"), [[0, 1], [1, 0]], atol=1e-15)
+    np.testing.assert_allclose(gate_matrix("s"), [[1, 0], [0, 1j]], atol=1e-15)
     # S is the quarter-turn phase gate.
-    np.testing.assert_allclose(gate_matrix(GateKind.S), gate_matrix(GateKind.RPHASE, (math.pi / 2,)), atol=1e-15)
+    np.testing.assert_allclose(gate_matrix("s"), gate_matrix("rphase", (math.pi / 2,)), atol=1e-15)
 
 
 def test_parameterized_gate_matrices():
     alpha = 0.37
     np.testing.assert_allclose(
-        gate_matrix(GateKind.RPHASE, (alpha,)), [[1, 0], [0, np.exp(1j * alpha)]], atol=1e-15
+        gate_matrix("rphase", (alpha,)), [[1, 0], [0, np.exp(1j * alpha)]], atol=1e-15
     )
     beta = 1.1
     c, s = math.cos(beta / 2), math.sin(beta / 2)
     np.testing.assert_allclose(
-        gate_matrix(GateKind.RX, (beta,)), [[c, -1j * s], [-1j * s, c]], atol=1e-15
+        gate_matrix("rx", (beta,)), [[c, -1j * s], [-1j * s, c]], atol=1e-15
     )
 
 
 def test_controlled_gate_block_structure():
-    u = gate_matrix(GateKind.CRPHASE, (0.4,))
+    u = gate_matrix("crphase", (0.4,))
     np.testing.assert_allclose(u[:2, :2], np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(u[2:, 2:], gate_matrix(GateKind.RPHASE, (0.4,)), atol=1e-15)
+    np.testing.assert_allclose(u[2:, 2:], gate_matrix("rphase", (0.4,)), atol=1e-15)
     np.testing.assert_allclose(u[:2, 2:], 0, atol=1e-15)
-    cnot = gate_matrix(GateKind.CNOT)
+    cnot = gate_matrix("cnot")
     np.testing.assert_allclose(cnot, np.eye(4)[[0, 1, 3, 2]], atol=1e-15)
 
 
 def test_all_gates_unitary():
     for kind, args in [
-        (GateKind.H, ()),
-        (GateKind.X, ()),
-        (GateKind.S, ()),
-        (GateKind.RPHASE, (0.9,)),
-        (GateKind.RX, (-0.6,)),
-        (GateKind.CNOT, ()),
-        (GateKind.CRPHASE, (2.2,)),
-        (GateKind.CRX, (0.1,)),
-        (GateKind.CS, ()),
+        ("h", ()),
+        ("x", ()),
+        ("s", ()),
+        ("rphase", (0.9,)),
+        ("rx", (-0.6,)),
+        ("cnot", ()),
+        ("crphase", (2.2,)),
+        ("crx", (0.1,)),
+        ("cs", ()),
     ]:
         assert unitarity_residual(gate_matrix(kind, args)) < 1e-12
+    for gate in build_sjm_circuit(SjmParams(0.8, -0.4)):
+        assert unitarity_residual(_gate_matrix(gate)) < 1e-12
 
 
-def test_gate_arity_enforced():
-    with pytest.raises(ValueError):
-        gate_matrix(GateKind.H, (0.5,))
-    with pytest.raises(ValueError):
-        gate_matrix(GateKind.RX, ())
+@settings(max_examples=20, deadline=None)
+@given(theta=THETAS, phi=PHIS)
+def test_each_gate_matrix_is_the_interpreter_on_both_wires(theta, phi):
+    # Each 4x4 is placed, not multiplied, so it equals the gate run on the
+    # four basis kets exactly (up to the sign of a zero).
+    for gate in build_sjm_circuit(SjmParams(theta, phi)):
+        assert np.array_equal(_gate_matrix(gate), unitary((gate,))), gate
 
 
 def test_parameterized_gates_reduce_to_identity_at_aligned_point():
-    p = ejm_aligned()
-    np.testing.assert_allclose(
-        gate_matrix(GateKind.CRPHASE, (math.pi / 2 - p.theta,)), np.eye(4), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        gate_matrix(GateKind.CRX, (math.pi / 2 - 2 * p.phi,)), np.eye(4), atol=1e-12
-    )
+    gates = build_sjm_circuit(ejm_aligned())
+    for gate in (gates[2], gates[4]):
+        np.testing.assert_allclose(_gate_matrix(gate), np.eye(4), atol=1e-12)
 
 
 def test_circuit_structure():
     p = SjmParams(0.8, -0.4)
-    circuit = build_sjm_circuit(p)
-    assert circuit.num_qubits == 2
-    assert len(circuit.ops) == 9
-    kinds = [op.kind for op in circuit.ops]
-    assert kinds == [
-        GateKind.CNOT,
-        GateKind.H,
-        GateKind.CRPHASE,
-        GateKind.X,
-        GateKind.CRX,
-        GateKind.CS,
-        GateKind.X,
-        GateKind.H,
-        GateKind.H,
+    gates = build_sjm_circuit(p)
+    assert len(gates) == 9
+    assert [kind for kind, *_ in gates] == [
+        "cnot", "h", "crphase", "x", "crx", "cs", "x", "h", "h",
     ]
-    assert [op.wires for op in circuit.ops] == [
+    assert [controls + targets for _, _, controls, targets in gates] == [
         (0, 1), (0,), (0, 1), (1,), (1, 0), (0, 1), (1,), (0,), (1,),
     ]
-    assert circuit.ops[2].args == (math.pi / 2 - p.theta,)
-    assert circuit.ops[4].args == (math.pi / 2 - 2 * p.phi,)
+    assert gates[2][1] == (math.pi / 2 - p.theta,)
+    assert gates[4][1] == (math.pi / 2 - 2 * p.phi,)
 
 
 @pytest.mark.parametrize("theta,phi", GRID)
 def test_circuit_unitary(theta, phi):
-    circuit = build_sjm_circuit(SjmParams(theta, phi))
-    assert unitarity_residual(unitary(circuit)) <= 1e-10
+    assert unitarity_residual(circuit_unitary(build_sjm_circuit(SjmParams(theta, phi)))) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=THETAS, phi=PHIS)
+@example(theta=0.0, phi=math.pi)
+@example(theta=0.0, phi=-math.pi)
+@example(theta=math.pi / 2, phi=math.pi)
+@example(theta=math.pi / 2, phi=-math.pi)
+@example(theta=math.pi / 2, phi=math.pi / 4)
+def test_unitary_is_the_gate_by_gate_interpreter(theta, phi):
+    gates = build_sjm_circuit(SjmParams(theta, phi))
+    assert np.abs(circuit_unitary(gates) - unitary(gates)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("theta,phi", GRID)
 def test_discrimination_on_grid(theta, phi):
     p = SjmParams(theta, phi)
-    report = verify_discrimination(build_sjm_circuit(p))
-    assert report.passed
-    assert report.targets_distinct
-    assert report.max_magnitude_error <= 1e-8
+    targets, amplitudes, _ = verify_discrimination(build_sjm_circuit(p), p)
+    assert len(set(targets.tolist())) == 4
+    assert np.abs(1.0 - np.abs(amplitudes)).max() <= 1e-8
     # The state -> ket assignment never moves as the parameters vary.
-    assert tuple(m.target_index for m in report.mappings) == EXPECTED_TARGETS
+    assert tuple(targets.tolist()) == EXPECTED_TARGETS
 
 
 @settings(max_examples=40, deadline=None)
 @given(theta=THETAS, phi=PHIS)
 def test_discrimination_random_point(theta, phi):
     p = SjmParams(theta, phi)
-    report = verify_discrimination(build_sjm_circuit(p))
-    assert report.passed
-    assert tuple(m.target_index for m in report.mappings) == EXPECTED_TARGETS
+    targets, amplitudes, sign_residual = verify_discrimination(build_sjm_circuit(p), p)
+    assert tuple(targets.tolist()) == EXPECTED_TARGETS
+    assert np.abs(1.0 - np.abs(amplitudes)).max() <= 1e-8
+    # The sign pattern holds at every point, to a few ulp.
+    assert sign_residual <= 2e-15
 
 
 @pytest.mark.parametrize("theta,phi", GRID)
 def test_outcome_probabilities_one_hot(theta, phi):
-    p = SjmParams(theta, phi)
-    circuit = build_sjm_circuit(p)
-    total = 0.0
-    for k, state in enumerate(sjm_basis(p)):
-        out = circuit.apply(state)
-        total += abs(out[EXPECTED_TARGETS[k]]) ** 2
+    out = _mapped(SjmParams(theta, phi))
+    total = sum(abs(out[k, EXPECTED_TARGETS[k]]) ** 2 for k in range(4))
     assert abs(total - 4.0) <= 4e-8
 
 
 def test_aligned_mapping_signs():
     p = ejm_aligned()
-    report = verify_discrimination(build_sjm_circuit(p))
-    assert report.reference_sign_residual <= 1e-8
-    assert [m.target_bits for m in report.mappings] == ["01", "11", "00", "10"]
-    circuit = build_sjm_circuit(p)
-    for k, state in enumerate(sjm_basis(p)):
-        out = circuit.apply(state)
+    targets, _, sign_residual = verify_discrimination(build_sjm_circuit(p), p)
+    assert sign_residual <= 1e-8
+    assert [format(t, "02b") for t in targets.tolist()] == ["01", "11", "00", "10"]
+    for k, (out, state) in enumerate(zip(_mapped(p), sjm_basis(p))):
         expected = EXPECTED_SIGNS[k] * ket(format(EXPECTED_TARGETS[k], "02b"))
         np.testing.assert_allclose(out, expected, atol=1e-8)
+        # The one product U and the gate-by-gate run agree.
+        np.testing.assert_allclose(run_circuit(build_sjm_circuit(p), state), out, atol=1e-15)
 
 
 def test_product_point_maps_first_state_to_01():
     # At theta=0, phi=0 the basis is a product basis and the first state
     # comes out exactly as |01>.
     p = SjmParams(0.0, 0.0)
-    circuit = build_sjm_circuit(p)
-    out = circuit.apply(sjm_basis(p)[0])
-    np.testing.assert_allclose(out, ket("01"), atol=1e-12)
-    report = verify_discrimination(circuit)
-    assert report.passed
-
-
-def test_apply_rejects_wrong_size():
-    circuit = build_sjm_circuit(ejm_aligned())
-    with pytest.raises(ValueError):
-        circuit.apply(ket("000"))
-
-
-def test_gate_op_validation():
-    with pytest.raises(ValueError):
-        GateOp(GateKind.CNOT, (), (), (1,))  # missing control
-    with pytest.raises(ValueError):
-        GateOp(GateKind.H, (), (0,), (1,))  # spurious control
-    with pytest.raises(ValueError):
-        GateOp(GateKind.H, (), (), ())  # no target
+    np.testing.assert_allclose(_mapped(p)[0], ket("01"), atol=1e-12)
+    targets, amplitudes, _ = verify_discrimination(build_sjm_circuit(p), p)
+    assert len(set(targets.tolist())) == 4
+    assert np.abs(1.0 - np.abs(amplitudes)).max() <= 1e-8
 
 
 def _printed(x: float) -> float:
@@ -214,7 +200,8 @@ def test_json_roundtrip_gives_back_every_float_bit_for_bit(theta, phi):
     with contextlib.redirect_stdout(out):
         assert main(["circuit", f"--theta={theta!r}", f"--phi={phi!r}"]) == 0
     emitted = json.loads(out.getvalue())["circuit"]
-    doc = circuit_to_dict(build_sjm_circuit(SjmParams(theta, phi)))
+    params = SjmParams(theta, phi)
+    doc = circuit_to_dict(build_sjm_circuit(params), params)
     expected = {**doc, "theta": _printed(doc["theta"]), "phi": _printed(doc["phi"]),
                 "gates": [{**gate, "args": [_printed(a) for a in gate["args"]]}
                           for gate in doc["gates"]]}

@@ -45,6 +45,9 @@ from sjm.cli import (
 )
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def _fmt(x: float) -> float:
     """`x` rounded to 15 significant digits, the value the CLI prints."""
     return float(f"{x:.15g}")
@@ -166,7 +169,7 @@ def test_circuit_default_aligned():
     assert doc["reference_sign_residual"] <= 1e-8
     assert len(doc["circuit"]["gates"]) == 9
     # The gate list as emitted: every float rounded to 15 significant digits.
-    expected = circuit_to_dict(build_sjm_circuit(ejm_aligned()))
+    expected = circuit_to_dict(build_sjm_circuit(ejm_aligned()), ejm_aligned())
     expected.update(theta=_fmt(expected["theta"]), phi=_fmt(expected["phi"]),
                     gates=[{**gate, "args": [_fmt(a) for a in gate["args"]]}
                            for gate in expected["gates"]])
@@ -548,6 +551,18 @@ def test_address_space_limit_exits_2():
         _assert_one_error_line(proc.stderr, "out of memory")
 
 
+@pytest.mark.parametrize("name", ["circuit-default.json", "circuit-default.csv"])
+def test_circuit_runs_under_the_address_space_cap_with_two_blas_threads(name):
+    # `circuit` makes no BLAS call, so under the same cap OpenBLAS never
+    # sizes its two threads' buffers and cannot abort the run.
+    case = next(c for c in json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+                if c["name"] == name)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (150 * 2**20, resource.RLIM_INFINITY))
+    proc = _sjm_child(case["argv"], stdout=subprocess.PIPE, preexec_fn=limit, threads="2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / case["file"]).read_text(encoding="utf-8")
+
+
 ERROR_LINE = re.compile(r"sjm( [a-z]+)*: error: ")
 ANGLE_VALUES = st.one_of(
     st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "1/0", "-0",
@@ -631,9 +646,17 @@ def test_sweeps_never_build_a_basis_or_network_state_per_theta(monkeypatch):
             CountedParams.built += 1
             super().__post_init__()
 
+    kernel = sjm.network._amplitudes
+    kernel_calls = []
+
+    def counted_kernel(basis, places):
+        kernel_calls.append(basis.shape)
+        return kernel(basis, places)
+
     for module in (sjm.bases, sjm.network):
         monkeypatch.setattr(module, "sjm_basis", forbidden)
-    monkeypatch.setattr(sjm.network, "triangle_state", forbidden)
+    monkeypatch.setattr(sjm.network, "joint_distribution", forbidden)
+    monkeypatch.setattr(sjm.network, "_amplitudes", counted_kernel)
     monkeypatch.setattr(sjm.bases, "SjmParams", CountedParams)
     for argv in (["network", "scan", "--grid-steps", "64", "--phi=0.3"],
                  ["curve", "--grid-steps", "64", "--format", "csv"]):
@@ -643,6 +666,8 @@ def test_sweeps_never_build_a_basis_or_network_state_per_theta(monkeypatch):
         assert out
         # The sweep checks phi once, in the one SjmParams it builds for (F, S).
         assert CountedParams.built <= 1, argv
+    # The scan contracts the whole grid's network amplitudes in one kernel call.
+    assert kernel_calls == [(64, 4, 4)]
 
 
 def _perfbench(monkeypatch, name: str):

@@ -69,16 +69,23 @@ def test_stdout_matches_golden_under_optimize(case):
 
 
 # The goldens are byte-identical under other CPU kernels too: OpenBLAS's
-# Haswell and Zen kernels (AVX2), and Haswell with numpy's AVX-512 loops
-# switched off, which is an AVX2-only host.
+# Haswell and Zen kernels (AVX2), Haswell with numpy's AVX-512 loops
+# switched off, which is an AVX2-only host, and OpenBLAS's SSE3 kernel
+# (Prescott) for the commands that make no BLAS call.  `verify` and
+# `multiqubit` still take `gram_matrix`, `completeness_residual` and the
+# pair overlaps through BLAS, whose SSE3 kernel moves their last bits.
 KERNELS = {
     "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "openblas-zen": {"OPENBLAS_CORETYPE": "Zen"},
     "avx2-only": {"OPENBLAS_CORETYPE": "Haswell",
                   "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
 }
-# Runs every golden case through `main` in one process, without pytest, and
-# prints the names of those whose exit code or bytes differ, as JSON.
+# The commands a kernel setting runs, where it does not run every case.
+KERNEL_COMMANDS = {"openblas-prescott": ("basis", "circuit", "network", "curve")}
+# Runs the golden cases of the given commands (default: all) through `main`
+# in one process, without pytest, and prints as JSON the names of those
+# whose exit code or bytes differ, and how many cases ran.
 KERNEL_CHILD = """
 import contextlib, hashlib, io, json, sys, warnings
 with warnings.catch_warnings(record=True) as caught:
@@ -89,14 +96,16 @@ if ignored:
     print(json.dumps({"ignored": ignored}))
     sys.exit(0)
 from sjm.cli import main
+cases = json.loads(open(sys.argv[1], encoding="utf-8").read())
+cases = [case for case in cases if len(sys.argv) == 2 or case["argv"][0] in sys.argv[2:]]
 failed = []
-for case in json.loads(open(sys.argv[1], encoding="utf-8").read()):
+for case in cases:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(case["argv"])
     if code != case["exit"] or hashlib.sha256(out.getvalue().encode()).hexdigest() != case["sha256"]:
         failed.append(case["name"])
-print(json.dumps({"failed": failed}))
+print(json.dumps({"failed": failed, "ran": len(cases)}))
 """
 
 
@@ -114,13 +123,14 @@ def _has_avx2() -> bool:
 def test_goldens_match_under_other_cpu_kernels(kernel):
     if not _has_avx2():
         pytest.skip("needs an x86-64 CPU with AVX2")
+    commands = KERNEL_COMMANDS.get(kernel, ())
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, **KERNELS[kernel], "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, str(GOLDEN / "manifest.json")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, str(GOLDEN / "manifest.json"),
+                           *commands], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     if "ignored" in report:
         pytest.skip(f"numpy cannot honour the setting: {report['ignored'][0]}")
-    assert report == {"failed": []}
-
+    ran = sum(not commands or case["argv"][0] in commands for case in CASES)
+    assert report == {"failed": [], "ran": ran}

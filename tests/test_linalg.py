@@ -7,18 +7,18 @@ from sjm.bases import SjmParams, bell_psi_plus, sjm_basis
 from sjm.linalg import (
     PAULI_X,
     PAULI_Z,
-    apply_gate,
     completeness_residual,
     gram_matrix,
     inner,
     ket,
-    num_qubits,
     orthonormality_residual,
-    permute_qubits,
     tensor,
 )
 
-from oracles import partial_trace, unitarity_residual
+# The qubit toolkit of the tests' oracles (the gate-by-gate circuit and the
+# dense network state), checked here like the package's own functions.
+from oracles import (apply_gate, num_qubits, partial_trace, permute_qubits,
+                     unitarity_residual)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]

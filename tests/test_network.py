@@ -8,20 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sjm.bases import SjmParams, bell_psi_plus, ejm_aligned, sjm_basis, sjm_basis_sweep
-from sjm.linalg import permute_qubits, tensor
 from sjm.network import (
-    SOURCE_PERMUTATION,
-    TRIANGLE_STATE,
+    _DIAGONAL,
+    NETWORK_TRIPLES,
+    NETWORK_WEIGHT,
     TRILOCAL_BOUND,
-    _diagonal_amplitudes,
+    _amplitudes,
     closed_form_probability,
     joint_distribution,
     nonlocality_scan,
-    triangle_state,
 )
 
-from oracles import (amplitude_closed_form, outcome_amplitude, partial_trace, permutation_residual,
-                     threshold_theta)
+from oracles import (amplitude_closed_form, joint_amplitudes, outcome_amplitude, partial_trace,
+                     permutation_residual, threshold_theta, triangle_state)
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = (-math.pi, -math.pi / 2, 0.0, math.pi / 3, math.pi)
@@ -53,8 +52,14 @@ def test_triangle_state_amplitudes():
 
 
 def test_triangle_state_construction():
+    # The qubit permutation of the sources' product, entry by entry: with
+    # qubits (A1 A2 B1 B2 C1 C2), the pairs (A2 B1), (B2 C1), (C2 A1) each
+    # carry one source's amplitude.
     pair = bell_psi_plus()
-    expected = permute_qubits(tensor(pair, pair, pair), SOURCE_PERMUTATION)
+    expected = np.zeros(64, dtype=complex)
+    for idx in range(64):
+        q = [int(bit) for bit in format(idx, "06b")]
+        expected[idx] = pair[2 * q[1] + q[2]] * pair[2 * q[3] + q[4]] * pair[2 * q[5] + q[0]]
     np.testing.assert_allclose(triangle_state(), expected, atol=1e-15)
 
 
@@ -116,10 +121,7 @@ def test_distribution_independent_of_phi(theta):
 @pytest.mark.parametrize("theta,phi", [(t, p) for t in THETA_GRID for p in (0.1, 2.0)])
 def test_amplitude_closed_form_matches_projection(theta, phi):
     params = SjmParams(theta, phi)
-    basis = sjm_basis(params)
-    psi = triangle_state().reshape(4, 4, 4)
-    m = np.array(basis)
-    amps = np.einsum("ja,kb,lc,abc->jkl", m.conj(), m.conj(), m.conj(), psi)
+    amps = joint_amplitudes(params)
     for j in range(4):
         for k in range(4):
             for l in range(4):
@@ -201,8 +203,25 @@ def test_scan_flags_and_bracket():
 
 
 def test_network_state_constant_is_the_constructed_state_read_only():
-    assert np.array_equal(TRIANGLE_STATE, triangle_state())
-    assert not TRIANGLE_STATE.flags.writeable
+    # The eight triples and their one weight are the dense state the sources
+    # and the qubit permutation build, bit for bit, and immutable.
+    dense = np.zeros((4, 4, 4), dtype=complex)
+    dense[tuple(np.transpose(NETWORK_TRIPLES))] = NETWORK_WEIGHT
+    assert dense.tobytes() == triangle_state().reshape(4, 4, 4).tobytes()
+    assert list(NETWORK_TRIPLES) == sorted(NETWORK_TRIPLES)
+    assert type(NETWORK_TRIPLES) is tuple and type(NETWORK_WEIGHT) is float
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi))
+@example(theta=0.0, phi=0.0)
+@example(theta=math.pi / 2, phi=math.pi / 4)
+@example(theta=math.pi / 2, phi=math.pi)
+@example(theta=0.0, phi=-math.pi)
+def test_table_equals_the_einsum_bit_for_bit(theta, phi):
+    params = SjmParams(theta, phi)
+    expected = np.abs(joint_amplitudes(params)) ** 2
+    assert joint_distribution(params).tobytes() == expected.tobytes()
 
 
 # Random grids that hold both endpoints, or evenly spaced ones as the CLI uses.
@@ -224,11 +243,11 @@ def test_scan_equals_pointwise_p_same_bit_for_bit(thetas, phi):
 
 def _assert_scan_is_the_einsum_bit_for_bit(thetas, phi):
     """|<k k k|network>|^2 and p_same against the 64-term einsum, the oracle
-    of the scan's eight-term kernel."""
-    m = sjm_basis_sweep(thetas, phi).conj()
-    psi = TRIANGLE_STATE.reshape(4, 4, 4)
-    expected = np.abs(np.einsum("tka,tkb,tkc,abc->tk", m, m, m, psi)) ** 2
-    assert (np.abs(_diagonal_amplitudes(m)) ** 2).tobytes() == expected.tobytes()
+    of the eight-term kernel."""
+    m = sjm_basis_sweep(thetas, phi)
+    psi = triangle_state().reshape(4, 4, 4)
+    expected = np.abs(np.einsum("tka,tkb,tkc,abc->tk", m.conj(), m.conj(), m.conj(), psi)) ** 2
+    assert (np.abs(_amplitudes(m, _DIAGONAL)) ** 2).tobytes() == expected.tobytes()
     p_same, _ = nonlocality_scan(thetas, phi)
     summed = ((expected[:, 0] + expected[:, 1]) + expected[:, 2]) + expected[:, 3]
     assert p_same.tobytes() == summed.tobytes()

@@ -34,6 +34,10 @@ Pauli expectations of `multi_reduction_closed_form(k, params, 2, qubit)`.
 That proof runs in u = e^{i theta} and h = e^{i phi/2}, where both sides are
 Laurent polynomials, so it holds for every real theta and phi.
 
+The nine-gate discrimination circuit, each gate written as its textbook 4x4
+matrix and multiplied out in u and h, maps state k onto
+EXPECTED_SIGNS[k] |EXPECTED_TARGETS[k]>, for every k, theta and phi.
+
 Each formula restated here is tied to the function it restates by
 evaluating both at random points, and each proof fails once one of its
 coefficients slips by 1/64.
@@ -49,6 +53,7 @@ from hypothesis import strategies as st
 from sjm.analysis import concurrence, multi_reduction_closed_form, sjm_concurrence_closed_form
 from sjm.bases import (PHI_OFFSETS, SjmParams, component_states, ejm_family_state,
                        pair_matrices, sjm_overlap_closed_form, sjm_state, sjm_state_closed_form)
+from sjm.circuit import EXPECTED_SIGNS, EXPECTED_TARGETS, _gate_matrix, build_sjm_circuit
 from sjm.linalg import inner
 from sjm.multiqubit import aux_state, multi_reduction_vectors
 
@@ -297,16 +302,18 @@ def pair_reduction(k: int, qubit: int, cross: sp.Expr = sp.Integer(1)) -> list[s
     return [(rho * pauli).trace() for pauli in PAULIS]
 
 
-def _is_laurent_zero(expr: sp.Expr) -> bool:
-    """Whether expr, in u and h, is identically zero: every coefficient of its
-    numerator, a constant built from radicals and e^{i pi/4}, is exactly 0."""
+def _is_laurent_zero(expr: sp.Expr, gens: tuple = (U, H)) -> bool:
+    """Whether expr, in u and h (or `gens`), is identically zero: every
+    coefficient of its numerator, a constant built from radicals and
+    e^{i pi/4}, is exactly 0."""
     numerator = sp.fraction(sp.together(sp.expand(expr)))[0]
-    return all(_is_algebraic_zero(c) for c in sp.Poly(sp.expand(numerator), U, H).coeffs())
+    return all(_is_algebraic_zero(c) for c in sp.Poly(sp.expand(numerator), *gens).coeffs())
 
 
-def _on_circle(expr: sp.Expr) -> sp.Expr:
-    """expr, a function of theta and phi, in u and h."""
-    return sp.expand(expr.rewrite(sp.exp).subs(ON_CIRCLE), power_exp=True)
+def _on_circle(expr: sp.Expr, circle: dict = ON_CIRCLE) -> sp.Expr:
+    """expr, a function of theta and phi, in u and h (or the variables of
+    `circle`)."""
+    return sp.expand(expr.rewrite(sp.exp).subs(circle), power_exp=True)
 
 
 def reduction_closed_form(k: int, qubit: int) -> list[sp.Expr]:
@@ -319,6 +326,52 @@ def reduction_closed_form(k: int, qubit: int) -> list[sp.Expr]:
     return [(-ck * sp.cos(phik) + sign * sp.cos(THETA) * sp.sin(phik)) / sp.sqrt(2),
             (-ck * sp.sin(phik) - sign * sp.cos(THETA) * sp.cos(phik)) / sp.sqrt(2),
             sign * ck * sp.sin(THETA) / 2]
+
+
+def _controlled(gate: sp.Matrix, control: int) -> sp.Matrix:
+    """`gate` on the other wire when wire `control` is |1>: |0><0| (x) I +
+    |1><1| (x) gate, or the same with the wires swapped."""
+    p0, p1, eye = sp.diag(1, 0), sp.diag(0, 1), sp.eye(2)
+    if control == 0:
+        return sp.kronecker_product(p0, eye) + sp.kronecker_product(p1, gate)
+    return sp.kronecker_product(eye, p0) + sp.kronecker_product(gate, p1)
+
+
+def circuit_gates(theta_slip: sp.Expr = sp.Integer(0)) -> list[sp.Matrix]:
+    """The discrimination circuit's nine 4x4 gates on wires (0, 1), in the
+    order they act, with theta scaled by 1 + theta_slip in the phase gate:
+    CNOT(0 -> 1), H on 0, CPHASE(pi/2 - theta)(0 -> 1), X on 1,
+    CRX(pi/2 - 2 phi)(1 -> 0), CS(0 -> 1), X on 1, H on 0, H on 1."""
+    eye, x = sp.eye(2), sp.Matrix([[0, 1], [1, 0]])
+    hadamard = sp.Matrix([[1, 1], [1, -1]]) / sp.sqrt(2)
+    alpha, beta = sp.pi / 2 - (1 + theta_slip) * THETA, sp.pi / 2 - 2 * PHI
+    c, s = sp.cos(beta / 2), sp.sin(beta / 2)
+    return [_controlled(x, 0), sp.kronecker_product(hadamard, eye),
+            _controlled(sp.diag(1, sp.exp(sp.I * alpha)), 0), sp.kronecker_product(eye, x),
+            _controlled(sp.Matrix([[c, -sp.I * s], [-sp.I * s, c]]), 1),
+            _controlled(sp.diag(1, sp.I), 0), sp.kronecker_product(eye, x),
+            sp.kronecker_product(hadamard, eye), sp.kronecker_product(eye, hadamard)]
+
+
+def circuit_gaps(theta_slip: sp.Expr = sp.Integer(0), circle: dict = ON_CIRCLE) -> list[sp.Expr]:
+    """The entries of U m_k - EXPECTED_SIGNS[k] |EXPECTED_TARGETS[k]> for
+    k = 0..3, U = G9 ... G1, in the variables of `circle`."""
+    unitary = sp.eye(4)
+    for gate in circuit_gates(theta_slip):
+        unitary = (gate.applyfunc(lambda e: _on_circle(e, circle)) * unitary).applyfunc(sp.expand)
+    gaps = []
+    for k in range(4):
+        state = closed_form(k).applyfunc(lambda e: _on_circle(e, circle))
+        gap = sp.Matrix((unitary * state).applyfunc(sp.expand))
+        gap[EXPECTED_TARGETS[k]] -= int(EXPECTED_SIGNS[k])
+        gaps += list(gap)
+    return gaps
+
+
+# v = e^{i theta/64}, so that a 1/64 slip in theta's coefficient keeps every
+# entry a Laurent polynomial.
+V = sp.Symbol("v", nonzero=True)
+FINE_CIRCLE = {THETA: -64 * sp.I * sp.log(V), PHI: -2 * sp.I * sp.log(H)}
 
 
 def test_swapped_overlaps_are_the_forward_overlaps():
@@ -364,6 +417,10 @@ def test_pair_rows_overlap_by_one_one_and_one_half(k):
 def test_pair_reduction_is_the_closed_form(k, qubit):
     assert [_is_laurent_zero(value - _on_circle(expected)) for value, expected
             in zip(pair_reduction(k, qubit), reduction_closed_form(k, qubit))] == [True] * 3
+
+
+def test_circuit_maps_each_state_onto_its_signed_target():
+    assert all(_is_laurent_zero(gap) for gap in circuit_gaps())
 
 
 SLIP = sp.Rational(1, 64)
@@ -414,6 +471,13 @@ def test_a_wrong_coefficient_fails_the_aux_and_pair_overlap_proofs():
             in zip(pair_overlaps(2), (1 + SLIP, 1 + SLIP, HALF + SLIP))] == [False] * 3
 
 
+def test_a_slipped_gate_angle_fails_the_circuit_proof():
+    # In v the exact circuit still passes, and a 1/64 slip of theta in the
+    # phase gate fails.
+    assert all(_is_laurent_zero(gap, (V, H)) for gap in circuit_gaps(circle=FINE_CIRCLE))
+    assert not all(_is_laurent_zero(gap, (V, H)) for gap in circuit_gaps(SLIP, FINE_CIRCLE))
+
+
 def _numeric(expr):
     return sp.lambdify((THETA, PHI), expr, "numpy")
 
@@ -460,6 +524,19 @@ def test_restated_formulas_evaluate_to_the_code(theta, phi):
     for restated, code in PAIRS:
         expected = np.asarray(restated(theta, phi), dtype=complex).ravel()
         assert np.abs(expected - code(params)).max() <= 1e-15
+
+
+CIRCUIT_GATES = [_numeric(gate) for gate in circuit_gates()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi))
+def test_restated_gates_evaluate_to_the_code(theta, phi):
+    gates = build_sjm_circuit(SjmParams(theta, phi))
+    assert len(gates) == len(CIRCUIT_GATES)
+    for restated, gate in zip(CIRCUIT_GATES, gates):
+        expected = np.asarray(restated(theta, phi), dtype=complex)
+        assert np.abs(expected - _gate_matrix(gate)).max() <= 1e-15, gate
 
 
 # [k, qubit, xyz] as a function of u and h.
